@@ -15,10 +15,9 @@ import "go/ast"
 // reads s.cycle.
 //
 // Structs without their own Reset are exempt: they are either rebuilt
-// from scratch on recycling (core.Engine via buildEngines, gpu.Device
-// via NewSalvaged) or reset field-by-field inside their container's
-// Reset, which covers their state under the container's serialization
-// contract instead.
+// from scratch on recycling (gpu.Device via NewSalvaged) or reset
+// field-by-field inside their container's Reset, which covers their
+// state under the container's serialization contract instead.
 var ResetCover = &Analyzer{
 	Name: "resetcover",
 	Doc: "every field of a //bow:state struct with a Reset method must be assigned " +

@@ -373,18 +373,65 @@ func NewEngine(cfg Config, sink RFWriteSink) (*Engine, error) {
 		return nil, fmt.Errorf("core: bypassing policy %v requires a write sink", cfg.Policy)
 	}
 	e := &Engine{cfg: cfg, sink: sink, interval: -1}
-	if cfg.Policy.Bypassing() {
-		// Capacity+1 covers the transient overshoot between attach and
-		// enforceCapacity; one spare keeps allocEntry off the heap even
-		// if that invariant ever slips by one.
-		e.live = make([]*entry, 0, cfg.Capacity+1)
-		slab := make([]entry, cfg.Capacity+2)
+	e.reserve(0)
+	return e, nil
+}
+
+// reserve sizes the live list and the entry slab for the engine's
+// config, given `have` entries already on the free list. Capacity+1
+// covers the transient overshoot between attach and enforceCapacity;
+// one spare slab entry keeps allocEntry off the heap even if that
+// invariant ever slips by one. Non-bypassing policies buffer nothing
+// and need neither.
+func (e *Engine) reserve(have int) {
+	if !e.cfg.Policy.Bypassing() {
+		return
+	}
+	if cap(e.live) < e.cfg.Capacity+1 {
+		e.live = make([]*entry, 0, e.cfg.Capacity+1)
+	}
+	if want := e.cfg.Capacity + 2; have < want {
+		slab := make([]entry, want-have)
 		for i := range slab {
 			slab[i].next = e.free
 			e.free = &slab[i]
 		}
 	}
-	return e, nil
+}
+
+// Reset rebinds the engine to cfg in place for a recycled SM: the
+// window empties, the counters and sequence restart, and the byReg
+// table, the live list and the entry slab are kept — the slab grows
+// only when cfg needs more entries than it holds. Every kept entry is
+// zeroed, so a reset engine is indistinguishable from NewEngine(cfg),
+// down to the bytes a later snapshot writes for pending entries. The
+// write sink is kept: it is SM wiring, not launch state.
+func (e *Engine) Reset(cfg Config) error {
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		return err
+	}
+	if cfg.Policy.Bypassing() && e.sink == nil {
+		return fmt.Errorf("core: bypassing policy %v requires a write sink", cfg.Policy)
+	}
+	e.cfg = cfg
+	e.seq = 0
+	e.interval = -1
+	e.stats = Stats{}
+	for _, en := range e.live {
+		en.next = e.free
+		e.free = en
+	}
+	clear(e.live)
+	e.live = e.live[:0]
+	clear(e.byReg[:])
+	have := 0
+	for en := e.free; en != nil; en = en.next {
+		*en = entry{next: en.next}
+		have++
+	}
+	e.reserve(have)
+	return nil
 }
 
 // Config returns the engine's normalized configuration.

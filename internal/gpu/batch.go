@@ -25,20 +25,20 @@ import (
 //
 // Slots can be populated lazily (NewBatchFunc) and drained eagerly
 // (OnFinish): a slot's device is then built on its first turn and
-// released as soon as its result is collected, so a large batch's
+// retired as soon as its result is collected, so a large batch's
 // peak footprint is bounded by the devices inside one stride window,
 // not the batch size.
 type Batch struct {
 	devs      []*Device
-	build     func(slot int, sv *Salvage) (*Device, error) // lazy batches only
+	build     func(slot int) (*Device, error) // lazy batches only
+	retire    func(d *Device)                 // lazy batches only; may be nil
 	onFinish  func(slot int, res *Result, err error)
 	maxCycles []int64 // per-device bound, already normalized
 	live      []int   // slots still running, compacted in place
 	res       []*Result
 	errs      []error
-	stride    int64    // cycles per device per tick (max inter-device skew)
-	lazy      bool     // devices built by b.build at first turn
-	salvage   *Salvage // last finished device's carcass, offered to the next build
+	stride    int64 // cycles per device per tick (max inter-device skew)
+	lazy      bool  // devices built by b.build at first turn
 
 	ticks     int64 // lockstep iterations executed
 	devCycles int64 // total device-cycles stepped (occupancy numerator)
@@ -94,20 +94,18 @@ func NewBatch(devs []*Device, maxCycles []int64) (*Batch, error) {
 }
 
 // NewBatchFunc builds a lockstep batch of n lazily-constructed slots:
-// build(slot, sv) runs on the stepping goroutine at the slot's first
-// turn. A build error fails only that slot (reported like a device
-// error), never its siblings.
+// build(slot) runs on the stepping goroutine at the slot's first turn.
+// A build error fails only that slot (reported like a device error),
+// never its siblings.
 //
-// sv, when non-nil, is the carcass of the batch's most recently
-// finished device, offered for recycling: passing it to NewSalvaged
-// rebuilds the big policy-independent components (register file,
-// caches) in place instead of reallocating them. Under the default
-// stride each slot finishes before the next one is built, so a
-// salvage-aware builder re-launders one device's storage through the
-// whole batch and the sweep's allocation rate drops by the device
-// footprint times the batch size. Builders may ignore sv — correctness
-// never depends on it.
-func NewBatchFunc(n int, maxCycles []int64, build func(slot int, sv *Salvage) (*Device, error)) (*Batch, error) {
+// retire, when non-nil, receives each built device once its slot has
+// finished (after OnFinish) — completed, errored or cancelled alike —
+// and the batch drops its own reference, so the caller may recycle the
+// device (Salvage) into a later build. A device whose stepping panics
+// is never retired. Under the default stride each slot finishes before
+// the next one is built, so a recycling caller re-launders one
+// device's storage through the whole batch.
+func NewBatchFunc(n int, maxCycles []int64, build func(slot int) (*Device, error), retire func(d *Device)) (*Batch, error) {
 	if build == nil {
 		return nil, fmt.Errorf("gpu: nil batch builder")
 	}
@@ -116,6 +114,7 @@ func NewBatchFunc(n int, maxCycles []int64, build func(slot int, sv *Salvage) (*
 		return nil, err
 	}
 	b.build = build
+	b.retire = retire
 	b.lazy = true
 	return b, nil
 }
@@ -147,9 +146,9 @@ func newBatch(n int, maxCycles []int64) (*Batch, error) {
 }
 
 // finish records a slot's terminal state, hands it to the OnFinish
-// hook, and (for lazy batches) retires the device: its recyclable
-// components are salvaged for the next slot's build and the rest can
-// be reclaimed while siblings run.
+// hook, and (for lazy batches) retires the device: the batch drops it
+// and hands it to the retire hook, so its storage can be recycled or
+// reclaimed while siblings run.
 func (b *Batch) finish(slot int, res *Result, err error) {
 	b.res[slot] = res
 	b.errs[slot] = err
@@ -157,12 +156,11 @@ func (b *Batch) finish(slot int, res *Result, err error) {
 		b.onFinish(slot, res, err)
 	}
 	if b.lazy {
-		if d := b.devs[slot]; d != nil {
-			// Even an errored device's carcass is reusable: Reset clears
-			// every policy-visible trace at reuse time.
-			b.salvage = d.Salvage()
-		}
+		d := b.devs[slot]
 		b.devs[slot] = nil
+		if d != nil && b.retire != nil {
+			b.retire(d)
+		}
 	}
 }
 
@@ -180,13 +178,8 @@ func (b *Batch) tick() {
 	for _, i := range b.live {
 		d := b.devs[i]
 		if d == nil {
-			// Hand the builder the last carcass and drop our reference:
-			// the salvage is single-use, and offering it twice would let
-			// one register file end up live inside two devices.
-			sv := b.salvage
-			b.salvage = nil
 			var err error
-			if d, err = b.build(i, sv); err != nil {
+			if d, err = b.build(i); err != nil {
 				b.finish(i, nil, err)
 				continue
 			}

@@ -114,8 +114,8 @@ func TestBatchLockstepBitIdentical(t *testing.T) {
 
 // TestBatchFuncSalvageBitIdentical drives the lazy path the batched
 // sweep runner uses: slots built on demand by NewBatchFunc, each
-// recycling the previous slot's carcass through NewSalvaged, results
-// drained through OnFinish. Every recycled device must be bit-identical
+// recycling the carcass of the device the batch last retired through
+// NewSalvaged, results drained through OnFinish. Every recycled device must be bit-identical
 // to a solo run on fresh components, and OnFinish must fire once per
 // slot in slot order (the default stride runs each device to
 // completion before its successor is built).
@@ -142,19 +142,23 @@ func TestBatchFuncSalvageBitIdentical(t *testing.T) {
 	}
 
 	salvaged := 0
-	build := func(slot int, sv *Salvage) (*Device, error) {
+	var carcass *Salvage
+	build := func(slot int) (*Device, error) {
 		bcfg := batchPolicies[slot]
 		hints, param := artifact.PassForPolicy(bcfg)
 		pk, err := artifact.BuildKernel(artifact.KeyFor(bench, false, hints, param))
 		if err != nil {
 			return nil, err
 		}
+		sv := carcass
+		carcass = nil
 		if sv != nil {
 			salvaged++
 		}
 		return NewSalvaged(smallGPU(), bcfg, pk.NewSMKernel(), img.NewMemory(), sv)
 	}
-	batch, err := NewBatchFunc(len(batchPolicies), nil, build)
+	retire := func(d *Device) { carcass = d.Salvage() }
+	batch, err := NewBatchFunc(len(batchPolicies), nil, build, retire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +209,18 @@ func TestBatchFuncSalvageAfterError(t *testing.T) {
 	}
 
 	salvaged := 0
-	build := func(slot int, sv *Salvage) (*Device, error) {
+	var carcass *Salvage
+	build := func(slot int) (*Device, error) {
+		sv := carcass
+		carcass = nil
 		if sv != nil {
 			salvaged++
 		}
 		return NewSalvaged(smallGPU(), core.Config{Policy: core.PolicyBaseline}, pk.NewSMKernel(), img.NewMemory(), sv)
 	}
+	retire := func(d *Device) { carcass = d.Salvage() }
 	// Slot 0 cannot finish in 10 cycles and dies with its pipeline busy.
-	batch, err := NewBatchFunc(2, []int64{10, 0}, build)
+	batch, err := NewBatchFunc(2, []int64{10, 0}, build, retire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +250,13 @@ func TestBatchFuncBuildErrorIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(slot int, sv *Salvage) (*Device, error) {
+	build := func(slot int) (*Device, error) {
 		if slot == 0 {
 			return nil, fmt.Errorf("boom")
 		}
-		return NewSalvaged(smallGPU(), core.Config{Policy: core.PolicyBaseline}, pk.NewSMKernel(), img.NewMemory(), sv)
+		return New(smallGPU(), core.Config{Policy: core.PolicyBaseline}, pk.NewSMKernel(), img.NewMemory())
 	}
-	batch, err := NewBatchFunc(2, nil, build)
+	batch, err := NewBatchFunc(2, nil, build, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,11 @@ import (
 	"bow/internal/trace"
 )
 
+// ErrKernelFault wraps a panic recovered inside the run loop (a kernel
+// bug such as an out-of-range parameter read). The device's state is
+// undefined afterwards: it must not be recycled.
+var ErrKernelFault = errors.New("gpu: kernel fault")
+
 // ErrInterrupted is returned by the run loop when Interrupt was called.
 // The device state is intact at a cycle boundary: the caller can
 // Snapshot it and a restored device resumes exactly where it stopped.
@@ -57,28 +62,46 @@ type Device struct {
 }
 
 // Salvage holds a retired device's recyclable hardware model: the L2
-// and the SMs themselves. Everything in an SM except its window
-// engines is shaped purely by config.GPU — never by the window policy
-// or kernel — so a sweep stepping many window configurations through
-// the same GPU geometry can rebuild each device from the previous
-// one's carcass with sm.Reset, reallocating almost nothing. Beyond
-// saving the ~1.8 MB a fresh device allocates per sweep point, this
-// keeps the cycle loop's hottest structures (register file banks,
-// collector slabs, the event calendar's free lists) in the same warm
-// memory across the whole sweep. A Salvage is single-use: NewSalvaged
-// consumes it (an SM must never be live in two devices), and a
-// geometry mismatch simply drops it and builds fresh.
+// and the SMs themselves. Everything in an SM is shaped purely by
+// config.GPU — never by the kernel — and the one policy-shaped part,
+// the per-warp window engines, resets in place; so any later launch on
+// the same GPU geometry can be built from the carcass with sm.Reset,
+// reallocating almost nothing. A fresh device of the default geometry
+// allocates about 1.5 MB: the 1 MiB functional register store (32
+// warps × 256 registers × 128 B), the L2's 288 KiB of tag and LRU
+// arrays, and 32 window engines (~190 KB). Beyond saving that per
+// launch, recycling keeps the cycle loop's hottest structures
+// (register file banks, collector slabs, the event calendar's free
+// lists) in the same warm memory from one launch to the next. A
+// carcass pins nothing of its last launch — Salvage drops the kernel,
+// the memory image, the tracer and the captured snapshots and traces —
+// so a pool of them holds only config-shaped storage. A Salvage is
+// single-use: NewSalvaged consumes it (an SM must never be live in two
+// devices), and a geometry mismatch simply drops it and builds fresh.
 type Salvage struct {
 	gcfg config.GPU
 	l2   *mem.Cache
 	sms  []*sm.SM
 }
 
+// Fits reports whether NewSalvaged would recycle sv for a device built
+// under gcfg: the carcass must come from the exact same config.GPU.
+func (sv *Salvage) Fits(gcfg config.GPU) bool {
+	return sv != nil && sv.l2 != nil && sv.gcfg == gcfg && len(sv.sms) == gcfg.NumSMs
+}
+
 // Salvage surrenders the device's recyclable components for a
-// successor built with NewSalvaged. The device must not be stepped
-// afterwards — its SMs now belong to the returned carcass.
+// successor built with NewSalvaged, releasing each SM's references to
+// the finished launch. The device must not be stepped afterwards — its
+// SMs now belong to the returned carcass — and a second Salvage yields
+// an empty carcass that recycles nothing.
 func (d *Device) Salvage() *Salvage {
-	return &Salvage{gcfg: d.cfg, l2: d.l2, sms: d.sms}
+	for _, s := range d.sms {
+		s.Release()
+	}
+	sv := &Salvage{gcfg: d.cfg, l2: d.l2, sms: d.sms}
+	d.l2, d.sms = nil, nil
+	return sv
 }
 
 // New builds a device for one kernel launch. The kernel is Prepared
@@ -94,8 +117,8 @@ func New(gcfg config.GPU, bcfg core.Config, kernel *sm.Kernel, global *mem.Memor
 // device's carcass) when it was built under the exact same config.GPU;
 // a nil or mismatched sv builds everything fresh. Reused components
 // are Reset, so the device behaves bit-identically to a New device —
-// the batch differential suite holds the recycled path to that
-// standard. sv is consumed either way: its components are claimed (or
+// the recycled-device transition matrix holds every policy pair to
+// that standard. sv is consumed either way: its components are claimed (or
 // dropped) and it must not be passed to a second build.
 func NewSalvaged(gcfg config.GPU, bcfg core.Config, kernel *sm.Kernel, global *mem.Memory, sv *Salvage) (*Device, error) {
 	if err := gcfg.Validate(); err != nil {
@@ -109,7 +132,7 @@ func NewSalvaged(gcfg config.GPU, bcfg core.Config, kernel *sm.Kernel, global *m
 	if global == nil {
 		global = mem.NewMemory()
 	}
-	if sv != nil && sv.l2 != nil && sv.gcfg == gcfg && len(sv.sms) == gcfg.NumSMs {
+	if sv.Fits(gcfg) {
 		l2, sms := sv.l2, sv.sms
 		sv.l2, sv.sms = nil, nil
 		l2.Reset()
@@ -188,7 +211,7 @@ func (d *Device) RunContext(ctx context.Context, maxCycles int64) (res *Result, 
 func (d *Device) RunUntil(ctx context.Context, maxCycles, until int64) (res *Result, done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, done, err = nil, false, fmt.Errorf("gpu: kernel fault: %v", r)
+			res, done, err = nil, false, fmt.Errorf("%w: %v", ErrKernelFault, r)
 		}
 	}()
 	return d.run(ctx, maxCycles, until)

@@ -213,7 +213,7 @@ func (e *Engine) runBatchChunk(ctx context.Context, specs []JobSpec, hashes []st
 		bounds[s] = specs[i].MaxCycles
 	}
 
-	build := func(s int, sv *gpu.Salvage) (*gpu.Device, error) {
+	build := func(s int) (*gpu.Device, error) {
 		sp := specs[chunk[s]]
 		bcfg, err := sp.coreConfig()
 		if err != nil {
@@ -228,11 +228,10 @@ func (e *Engine) runBatchChunk(ctx context.Context, specs []JobSpec, hashes []st
 			return nil, err
 		}
 		m := img.NewMemory()
-		// Rebuild the device from the previous slot's carcass when the
-		// batch offers one: the chunk's slots share one GPU geometry, so
-		// the register file and cache models are re-laundered through the
-		// whole chunk instead of being reallocated per point.
-		d, err := gpu.NewSalvaged(sp.gpuConfig(), bcfg, pk.NewSMKernel(), m, sv)
+		// The chunk's slots share one GPU geometry, so under the default
+		// stride one carcass from the engine's pool is re-laundered
+		// through the whole chunk instead of a device per point.
+		d, err := e.pool.build(sp.gpuConfig(), bcfg, pk.NewSMKernel(), m)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sp.Bench, err)
 		}
@@ -241,7 +240,8 @@ func (e *Engine) runBatchChunk(ctx context.Context, specs []JobSpec, hashes []st
 		return d, nil
 	}
 
-	batch, err := gpu.NewBatchFunc(len(chunk), bounds, build)
+	retire := func(d *gpu.Device) { e.pool.put(d, nil) }
+	batch, err := gpu.NewBatchFunc(len(chunk), bounds, build, retire)
 	if err != nil {
 		return chunk, 0, 0
 	}

@@ -14,7 +14,8 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the pool size (<= 0 selects runtime.GOMAXPROCS(0)).
+	// Workers is the worker pool size (<= 0 selects
+	// runtime.GOMAXPROCS(0)); it also bounds the carcass pool.
 	Workers int
 	// Retries is how many extra attempts a failed job gets before its
 	// error is reported (panics and simulator errors alike; context
@@ -45,7 +46,8 @@ type Engine struct {
 	opts  Options
 	cache *Cache
 	drain *DrainController
-	peers []*Client // peer-fill clients, rendezvous-ranked per hash
+	pool  *carcassPool // retired device carcasses, at most Workers
+	peers []*Client    // peer-fill clients, rendezvous-ranked per hash
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -136,6 +138,7 @@ func New(opts Options) (*Engine, error) {
 		opts:      opts,
 		cache:     cache,
 		drain:     NewDrainController(),
+		pool:      newCarcassPool(opts.Workers),
 		inflight:  make(map[string]*job),
 		execute:   Execute,
 		spans:     trace.NewSpanLog(0),
@@ -347,8 +350,9 @@ func (e *Engine) runJob(j *job) (*Outcome, int, error) {
 	// come back as Interrupted outcomes carrying checkpoints.
 	ctx = WithDrain(ctx, e.drain)
 	// And the span log, so the body can record its prep stage under the
-	// submitter's trace.
+	// submitter's trace, and the carcass pool its device comes from.
 	ctx = withSpanLog(ctx, e.spans)
+	ctx = withCarcassPool(ctx, e.pool)
 	ctx = trace.ContextWithID(ctx, j.traceID)
 	var lastErr error
 	for attempt := 1; attempt <= e.opts.Retries+1; attempt++ {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"bow/internal/artifact"
-	"bow/internal/gpu"
 )
 
 // DefaultWarmupCycles is the shared-prefix length RunSweepForked
@@ -87,6 +86,7 @@ func (e *Engine) RunSweepForked(ctx context.Context, sw SweepSpec) (*SweepResult
 	// forks. Then fork the classes, and finally sweep up everything
 	// that stayed cold through the normal engine path.
 	sem := make(chan struct{}, e.Workers())
+	ctx = withCarcassPool(ctx, e.pool)
 	blobs := make([][]byte, len(order))
 	warmedAt := make([]int64, len(order))
 	var wwg sync.WaitGroup
@@ -181,7 +181,8 @@ func (e *Engine) RunSweepForked(ctx context.Context, sw SweepSpec) (*SweepResult
 // under the baseline policy — for `until` cycles and returns the
 // snapshot stream plus the cycle it was taken at. A nil blob with nil
 // error means the kernel completed inside the warm-up (nothing to
-// fork).
+// fork). The warm-up device comes from, and returns to, the carcass
+// pool in ctx.
 func warmupSnapshot(ctx context.Context, c forkClass, until int64) ([]byte, int64, error) {
 	spec, err := JobSpec{
 		Bench: c.Bench, Policy: PolicyBaseline, SMs: c.SMs,
@@ -205,11 +206,13 @@ func warmupSnapshot(ctx context.Context, c forkClass, until int64) ([]byte, int6
 	if err != nil {
 		return nil, 0, err
 	}
-	d, err := gpu.New(spec.gpuConfig(), bcfg, pk.NewSMKernel(), img.NewMemory())
+	pool := carcassPoolFrom(ctx)
+	d, err := pool.build(spec.gpuConfig(), bcfg, pk.NewSMKernel(), img.NewMemory())
 	if err != nil {
 		return nil, 0, err
 	}
 	_, done, err := d.RunUntil(ctx, spec.MaxCycles, until)
+	defer pool.put(d, err)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -39,6 +39,12 @@ type Metrics struct {
 	BatchJobs      int64   `json:"batchJobs,omitempty"`
 	BatchOccupancy float64 `json:"batchOccupancy,omitempty"`
 
+	// Device builds by kind: fresh (a whole chip allocated) or recycled
+	// from a carcass in the engine's pool. Their ratio is the pool's hit
+	// rate on the traffic's mix of GPU geometries.
+	DeviceBuildsFresh    int64 `json:"deviceBuildsFresh"`
+	DeviceBuildsRecycled int64 `json:"deviceBuildsRecycled"`
+
 	// Job latency quantiles in microseconds, over completed attempts
 	// (internal/stats histogram quantiles).
 	P50LatencyMicros int `json:"p50LatencyMicros"`
@@ -90,6 +96,8 @@ func (e *Engine) Metrics() Metrics {
 	}
 	e.mu.Unlock()
 	m.CacheEntries = e.cache.Len()
+	m.DeviceBuildsFresh = e.pool.fresh.Load()
+	m.DeviceBuildsRecycled = e.pool.recycled.Load()
 	if lookups := hitsMem + hitsDisk + misses; lookups > 0 {
 		m.CacheHitRatio = float64(hitsMem+hitsDisk) / float64(lookups)
 	}

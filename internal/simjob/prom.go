@@ -51,6 +51,11 @@ func (s *Server) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE bow_batch_occupancy gauge\n")
 	fmt.Fprintf(w, "bow_batch_occupancy %g\n", m.BatchOccupancy)
 
+	fmt.Fprintf(w, "# HELP bow_device_builds_total Devices built for simulations, by kind: fresh, or recycled from the engine's carcass pool.\n")
+	fmt.Fprintf(w, "# TYPE bow_device_builds_total counter\n")
+	fmt.Fprintf(w, "bow_device_builds_total{kind=\"fresh\"} %d\n", m.DeviceBuildsFresh)
+	fmt.Fprintf(w, "bow_device_builds_total{kind=\"recycled\"} %d\n", m.DeviceBuildsRecycled)
+
 	fmt.Fprintf(w, "# HELP bow_job_latency_microseconds Completed job latency quantiles.\n")
 	fmt.Fprintf(w, "# TYPE bow_job_latency_microseconds gauge\n")
 	fmt.Fprintf(w, "bow_job_latency_microseconds{quantile=\"0.5\"} %d\n", m.P50LatencyMicros)

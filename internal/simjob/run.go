@@ -36,6 +36,11 @@ import (
 // mid-run, Execute snapshots the paused device and returns an Outcome
 // with Interrupted set and the checkpoint attached — not an error —
 // so the caller can hand the job to another worker.
+//
+// When an engine's carcass pool travels in ctx, the device is built
+// from a pooled carcass of the same GPU geometry and retired back into
+// the pool afterwards; without one (cmd/bowsim and other inline
+// callers) every call builds a fresh device.
 func Execute(ctx context.Context, spec JobSpec) (*Outcome, error) {
 	return ExecuteTraced(ctx, spec, nil)
 }
@@ -119,10 +124,21 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 		}
 		m = img.NewMemory()
 	}
-	d, err := gpu.New(spec.gpuConfig(), bcfg, pk.NewSMKernel(), m)
+	pool := carcassPoolFrom(ctx)
+	d, err := pool.build(spec.gpuConfig(), bcfg, pk.NewSMKernel(), m)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
+	// The device goes back to the pool on every exit but a panic, and
+	// only after the drain controller lets go of it (the deferred
+	// unregister below runs first).
+	var runErr error
+	defer func() {
+		if r := recover(); r != nil {
+			panic(r) // a panicking job's device is dropped, never pooled
+		}
+		pool.put(d, runErr)
+	}()
 	recordPrepSpan(ctx, hash, prepStart)
 	d.CaptureTrace = spec.Trace
 	d.Tracer = tr
@@ -147,6 +163,7 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 
 	start := time.Now()
 	res, done, err := d.RunUntil(ctx, spec.MaxCycles, until)
+	runErr = err
 	if errors.Is(err, gpu.ErrInterrupted) {
 		res, done, err = nil, false, nil
 	}

@@ -254,9 +254,9 @@ func New(id int, gcfg config.GPU, bcfg core.Config, kernel *Kernel,
 }
 
 // buildEngines constructs one window engine per warp slot from the
-// SM's current bcfg. Engines are the only per-warp component whose
-// shape depends on the window policy, so Reset rebuilds them (they are
-// small) while everything config-shaped is recycled in place.
+// SM's bcfg. Engines are the only per-warp component whose shape
+// depends on the window policy; Reset rebinds them in place
+// (core.Engine.Reset) rather than rebuilding them.
 func (s *SM) buildEngines() error {
 	for w := range s.engines {
 		wslot := w
@@ -285,8 +285,9 @@ func (s *SM) buildEngines() error {
 // models, the scoreboard, pipes, schedulers, the timing-wheel calendar
 // (including its warmed event free list), the warp contexts with their
 // collector/waiter slabs, the in-flight record pool, and the stats
-// histograms. Only the window engines — the one per-warp component
-// shaped by the window policy — are rebuilt. A reset SM behaves
+// histograms. The window engines — the one per-warp component shaped
+// by the window policy — are reset in place too, their entry slabs
+// growing only when the new window needs more. A reset SM behaves
 // bit-identically to one built by New; the batch differential suite
 // holds the recycled path to that standard. The previous run may have
 // ended early (cycle-limit error): in-flight instructions are dropped
@@ -338,8 +339,10 @@ func (s *SM) Reset(bcfg core.Config, kernel *Kernel, global *mem.Memory) error {
 		}
 		w.fillWaiters = fw[:0]
 	}
-	if err := s.buildEngines(); err != nil {
-		return err
+	for _, eng := range s.engines {
+		if err := eng.Reset(bcfg); err != nil {
+			return err
+		}
 	}
 
 	for i := range s.active {
@@ -362,6 +365,18 @@ func (s *SM) Reset(bcfg core.Config, kernel *Kernel, global *mem.Memory) error {
 	hSrc.Reset()
 	s.st = RunStats{OccupancyBOC: hBOC, OccupancyOCU: hOCU, SrcOperands: hSrc}
 	return nil
+}
+
+// Release drops the SM's references to its launch — the kernel, the
+// functional global memory, the tracer, resident CTAs and the captured
+// register snapshots and instruction traces — so a retired SM pins
+// only configuration-shaped storage until Reset binds the next launch.
+// The SM must not be stepped in between.
+func (s *SM) Release() {
+	s.kernel, s.global, s.Tracer = nil, nil, nil
+	clear(s.ctas)
+	clear(s.RegSnapshots)
+	clear(s.Traces)
 }
 
 // CanAcceptCTA reports whether a new thread block fits.
