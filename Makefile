@@ -17,7 +17,7 @@ bin/bowvet: $(wildcard cmd/bowvet/*.go internal/analysis/*.go) go.mod
 
 # lint is the full static gate: stock go vet first, then the repo's own
 # invariant passes (determinism, hotpathalloc, nilguardtrace, locksafe,
-# statecover, resetcover, policyexhaustive, annotcheck) driven through
+# statecover, resetcover, annotcheck) driven through
 # the same vet harness. `go run ./cmd/bowvet ./...` is the cache-free
 # equivalent of the second step; add `-json` there for the flat
 # machine-readable findings array.
@@ -31,7 +31,7 @@ vet: lint
 # on: annotcheck (typoed directives, missing reasons, dangling and
 # stale markers) over the whole tree, then the per-pass fixture tests
 # and the repository-clean proof. Run it after editing any //bow:
-# annotation, a policy roster, or an analysis pass.
+# annotation or an analysis pass.
 lint-fix-check:
 	$(GO) run ./cmd/bowvet -pass annotcheck ./...
 	$(GO) test -run 'Fixture|RepositoryClean' ./internal/analysis/

@@ -1,7 +1,6 @@
 // Command bowvet is the repo's invariant checker: a multichecker of
 // the internal/analysis passes (determinism, hotpathalloc,
-// nilguardtrace, locksafe, statecover, resetcover, policyexhaustive,
-// annotcheck).
+// nilguardtrace, locksafe, statecover, resetcover, annotcheck).
 //
 // Two invocation modes:
 //

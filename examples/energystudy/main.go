@@ -10,34 +10,25 @@ import (
 	"fmt"
 	"log"
 
-	"bow/internal/compiler"
+	"bow/internal/artifact"
 	"bow/internal/config"
 	"bow/internal/core"
 	"bow/internal/energy"
 	"bow/internal/gpu"
-	"bow/internal/mem"
-	"bow/internal/sm"
 	"bow/internal/workloads"
 )
 
 func run(b *workloads.Benchmark, bcfg core.Config) *gpu.Result {
-	prog := b.Program()
-	if bcfg.Policy == core.PolicyCompilerHints {
-		if _, err := compiler.Annotate(prog, bcfg.IW); err != nil {
-			log.Fatal(err)
-		}
+	// The kernel gets the compiler pass bcfg's policy consumes.
+	pk, err := artifact.BuildKernel(artifact.KeyForConfig(b.Name, bcfg, false))
+	if err != nil {
+		log.Fatal(err)
 	}
-	m := mem.NewMemory()
-	if b.Init != nil {
-		if err := b.Init(m); err != nil {
-			log.Fatal(err)
-		}
+	img, err := artifact.BuildImage(b.Name)
+	if err != nil {
+		log.Fatal(err)
 	}
-	k := &sm.Kernel{
-		Program: prog, GridDim: b.GridDim, BlockDim: b.BlockDim,
-		SharedLen: b.SharedLen, Params: b.Params,
-	}
-	dev, err := gpu.New(config.SimDefault(), bcfg, k, m)
+	dev, err := gpu.New(config.SimDefault(), bcfg, pk.NewSMKernel(), img.NewMemory())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,9 +23,6 @@
 //   - resetcover: the same coverage engine proves a //bow:state
 //     struct's Reset method assigns (or explicitly skips via
 //     //bow:resetskip) every field — the carcass-recycling contract.
-//   - policyexhaustive: switches/tables marked //bow:policyexhaustive
-//     must cover the full canonical policy roster (simjob's
-//     policyAliases, or core.Policy's constants).
 //   - annotcheck: the annotation layer itself — unknown directives,
 //     missing reasons, markers attached to nothing, and stale markers
 //     that contradict the code.
@@ -71,9 +68,8 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File // files the pass may report on (non-test)
 	// AllFiles adds the test files that participated in type checking.
-	// Most passes report on Files only; policyexhaustive and annotcheck
-	// walk AllFiles because differential-test rosters and their markers
-	// live in _test.go files.
+	// Most passes report on Files only; annotcheck walks AllFiles
+	// because annotation markers also live in _test.go files.
 	AllFiles  []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
@@ -105,7 +101,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism, HotPathAlloc, NilGuardTrace, LockSafe,
-		StateCover, ResetCover, PolicyExhaustive, AnnotCheck,
+		StateCover, ResetCover, AnnotCheck,
 	}
 }
 

@@ -181,7 +181,4 @@ func TestLockSafeFixture(t *testing.T)      { runFixture(t, LockSafe, "locksafe"
 
 func TestStateCoverFixture(t *testing.T) { runFixture(t, StateCover, "statecover") }
 func TestResetCoverFixture(t *testing.T) { runFixture(t, ResetCover, "resetcover") }
-func TestPolicyExhaustiveFixture(t *testing.T) {
-	runFixture(t, PolicyExhaustive, "policyexhaustive")
-}
 func TestAnnotCheckFixture(t *testing.T) { runFixture(t, AnnotCheck, "annotcheck") }

@@ -38,12 +38,11 @@ func init() { AnnotCheck.Run = runAnnotCheck }
 
 // knownDirectives is every //bow: directive the suite understands.
 var knownDirectives = map[string]bool{
-	"state":            true,
-	"hotpath":          true,
-	"derived":          true,
-	"snapskip":         true,
-	"resetskip":        true,
-	"policyexhaustive": true,
+	"state":     true,
+	"hotpath":   true,
+	"derived":   true,
+	"snapskip":  true,
+	"resetskip": true,
 }
 
 func runAnnotCheck(pass *Pass) {
@@ -115,7 +114,7 @@ func runAnnotCheck(pass *Pass) {
 
 	// Every //bow: comment must be a known directive, attached to what
 	// it claims to mark. Test files participate: a typoed directive in
-	// a differential-test roster checks nothing just as silently.
+	// a test file checks nothing just as silently.
 	for _, f := range pass.AllFiles {
 		inFiles := containsFile(pass.Files, f)
 		for _, cg := range f.Comments {
@@ -127,7 +126,7 @@ func runAnnotCheck(pass *Pass) {
 				}
 				if !knownDirectives[name] {
 					pass.Reportf(c.Pos(),
-						"unknown //bow: directive %q (known: derived, hotpath, policyexhaustive, resetskip, snapskip, state)",
+						"unknown //bow: directive %q (known: derived, hotpath, resetskip, snapskip, state)",
 						name)
 					continue
 				}

@@ -14,7 +14,7 @@ import (
 // output is user-visible or hashed.
 var simPackages = map[string]bool{
 	"sm": true, "core": true, "gpu": true, "exec": true, "mem": true,
-	"regfile": true, "rfc": true, "scheduler": true, "scoreboard": true,
+	"regfile": true, "policy": true, "scheduler": true, "scoreboard": true,
 	"isa": true, "energy": true,
 }
 

@@ -36,12 +36,11 @@ type listPackage struct {
 // Imports are satisfied from the build cache's export data; no network
 // and no third-party dependencies are involved.
 //
-// Listing with -test matters: policyexhaustive and annotcheck walk
-// test files (differential-test rosters live there), so each package
-// with in-package test files is analyzed in its test-augmented form —
-// the same unit `go vet` hands the vettool. The generated .test mains
-// are skipped, and the plain form is dropped when an augmented twin
-// exists so nothing is reported twice.
+// Listing with -test matters: annotcheck walks test files, so each
+// package with in-package test files is analyzed in its test-augmented
+// form — the same unit `go vet` hands the vettool. The generated .test
+// mains are skipped, and the plain form is dropped when an augmented
+// twin exists so nothing is reported twice.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -79,7 +78,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.ForTest != "" {
 			// "pkg [pkg.test]" is pkg plus its in-package test files;
 			// "pkg_test [pkg.test]" is the external test package. Both are
-			// analyzed (external test packages have rosters too); the
+			// analyzed (external test packages carry markers too); the
 			// internal form supersedes the plain listing.
 			if strings.HasPrefix(p.ImportPath, p.ForTest+" [") {
 				augmented[p.ForTest] = true

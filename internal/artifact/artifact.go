@@ -33,32 +33,33 @@ import (
 	"bow/internal/compiler"
 	"bow/internal/core"
 	"bow/internal/mem"
+	"bow/internal/policy"
 	"bow/internal/sm"
 	"bow/internal/workloads"
 )
 
 // PassForPolicy maps a window configuration onto the annotation pass
-// its policy consumes, plus the pass's integer parameter. This is the
-// single place the policy→compiler-pass contract lives; every kernel
-// acquisition path (per-job, batched, forked warm-up, inline
-// experiments) builds its KernelKey through it.
+// its architecture consumes, plus the pass's integer parameter, as the
+// configuration's internal/policy row declares them.
 func PassForPolicy(bcfg core.Config) (hints string, param int) {
-	//bow:policyexhaustive
-	switch bcfg.Policy {
-	case core.PolicyCompilerHints:
-		return HintsBOWWR, bcfg.IW
-	case core.PolicyCARFC:
-		return HintsCARFC, 0
-	case core.PolicyLTRF:
-		return HintsLTRF, bcfg.Capacity
-	case core.PolicySCRF:
-		return HintsSCRF, 0
-	case core.PolicyBaseline, core.PolicyWriteThrough, core.PolicyWriteBack:
-		// No annotation pass: these policies (and rfc, which is
-		// PolicyWriteBack + ForwardThroughPort) run the plain program.
+	a, ok := policy.Of(bcfg)
+	if !ok {
 		return HintsNone, 0
 	}
-	return HintsNone, 0
+	return a.Pass, a.PassParam(bcfg)
+}
+
+// KeyForConfig is the kernel key every acquisition path (per-job,
+// batched, forked warm-up, inline experiments) prepares a benchmark
+// under bcfg with: the annotation pass of bcfg's policy, and the
+// reorder pass, which consumes the window size, contributing IW when
+// the annotation pass took no parameter.
+func KeyForConfig(bench string, bcfg core.Config, reorder bool) KernelKey {
+	hints, param := PassForPolicy(bcfg)
+	if reorder && param == 0 {
+		param = bcfg.IW
+	}
+	return KeyFor(bench, reorder, hints, param)
 }
 
 // Hint-pass discriminators for KernelKey.Hints: which per-instruction
@@ -68,26 +69,19 @@ func PassForPolicy(bcfg core.Config) (hints string, param int) {
 const (
 	// HintsNone: no annotation pass; the plain parsed program. Shared
 	// by baseline, bow-wt, bow-wb, rfc, and every window size.
-	HintsNone = ""
+	HintsNone = policy.PassNone
 	// HintsBOWWR: compiler.Annotate write-back hints (parameter = IW).
-	HintsBOWWR = "bow-wr"
+	HintsBOWWR = policy.PassBOWWR
 	// HintsCARFC: compiler.AnnotateCARFC allocation + last-use hints
 	// (window-free; no parameter).
-	HintsCARFC = "carfc"
+	HintsCARFC = policy.PassCARFC
 	// HintsLTRF: compiler.AnnotateLTRF prefetch intervals (parameter =
 	// operand-buffer capacity).
-	HintsLTRF = "ltrf"
+	HintsLTRF = policy.PassLTRF
 	// HintsSCRF: compiler.AnnotateSCRF narrowness hints (whole-program;
 	// no parameter).
-	HintsSCRF = "scrf"
+	HintsSCRF = policy.PassSCRF
 )
-
-// hintsParametric reports whether the pass consumes the key's integer
-// parameter; parameterless passes normalize it away so their kernels
-// are shared across configurations.
-func hintsParametric(hints string) bool {
-	return hints == HintsBOWWR || hints == HintsLTRF
-}
 
 // KernelKey identifies one prepared-kernel artifact: the benchmark
 // plus exactly the knobs that alter the prepared program's contents.
@@ -110,7 +104,7 @@ type KernelKey struct {
 // bytes and is normalized away so all such configurations share one
 // artifact.
 func KeyFor(bench string, reorder bool, hints string, iw int) KernelKey {
-	if !reorder && !hintsParametric(hints) {
+	if !reorder && !policy.Parametric(hints) {
 		iw = 0
 	}
 	return KernelKey{Bench: bench, Reorder: reorder, Hints: hints, IW: iw}

@@ -69,23 +69,56 @@ const (
 	PolicySCRF
 )
 
+// traits is everything the engine needs to know about a policy. The
+// engine branches on these, never on policy identity, so a new policy
+// that reuses existing behaviour is one entry here; internal/policy
+// maps architectures (rfc, for one, is PolicyWriteBack behind a
+// forwarding port) onto these values.
+type traits struct {
+	name string
+	// buffers: operand values live in the BOC; false means every access
+	// goes to the banks (the window knobs are meaningless).
+	buffers bool
+	// window: the buffer has a nominal instruction window, so the
+	// BeyondWindow/NoExtend ablations apply and a boc-only hint means
+	// "dead once it leaves the window".
+	window bool
+	// writeThrough: every result also goes to the RF at writeback.
+	writeThrough bool
+	// hints: writeback honours the compiler's two-bit hint (rf-only
+	// results bypass the buffer; the hint rides on the entry).
+	hints bool
+	// lastUse: a compiler-marked last read frees its entry, and a value
+	// read for the last time never earns one.
+	lastUse bool
+	// intervalDrain: the buffer drains at prefetch-interval boundaries
+	// instead of sliding a window.
+	intervalDrain bool
+	// compressed: RF accesses to compiler-proven narrow registers are
+	// counted separately for the energy model.
+	compressed bool
+}
+
+// policyTraits is indexed by Policy. Config.Normalize rejects values
+// beyond it, so an engine, whose config is normalized, indexes it
+// safely.
+var policyTraits = [...]traits{
+	PolicyBaseline:      {name: "baseline"},
+	PolicyWriteThrough:  {name: "bow-wt", buffers: true, window: true, writeThrough: true},
+	PolicyWriteBack:     {name: "bow-wb", buffers: true, window: true},
+	PolicyCompilerHints: {name: "bow-wr", buffers: true, window: true, hints: true},
+	PolicyCARFC:         {name: "carfc", buffers: true, hints: true, lastUse: true},
+	PolicyLTRF:          {name: "ltrf", buffers: true, intervalDrain: true},
+	PolicySCRF:          {name: "scrf", compressed: true},
+}
+
+// NumPolicies is the number of Policy values; valid policies are
+// 0..NumPolicies-1.
+const NumPolicies = len(policyTraits)
+
 func (p Policy) String() string {
-	//bow:policyexhaustive
-	switch p {
-	case PolicyBaseline:
-		return "baseline"
-	case PolicyWriteThrough:
-		return "bow-wt"
-	case PolicyWriteBack:
-		return "bow-wb"
-	case PolicyCompilerHints:
-		return "bow-wr"
-	case PolicyCARFC:
-		return "carfc"
-	case PolicyLTRF:
-		return "ltrf"
-	case PolicySCRF:
-		return "scrf"
+	if int(p) < NumPolicies {
+		return policyTraits[p].name
 	}
 	return fmt.Sprintf("Policy(%d)", uint8(p))
 }
@@ -93,7 +126,7 @@ func (p Policy) String() string {
 // Bypassing reports whether the policy uses the window at all. SCRF
 // compresses the banks themselves — it buffers nothing, so it behaves
 // as the baseline everywhere except energy accounting.
-func (p Policy) Bypassing() bool { return p != PolicyBaseline && p != PolicySCRF }
+func (p Policy) Bypassing() bool { return int(p) < NumPolicies && policyTraits[p].buffers }
 
 // WriteCause distinguishes why a register-file write was generated.
 type WriteCause uint8
@@ -177,7 +210,11 @@ type Config struct {
 
 // Normalize fills defaults and validates.
 func (c Config) Normalize() (Config, error) {
-	if !c.Policy.Bypassing() {
+	if int(c.Policy) >= NumPolicies {
+		return c, fmt.Errorf("core: unknown policy %v", c.Policy)
+	}
+	t := policyTraits[c.Policy]
+	if !t.buffers {
 		// Baseline and scrf buffer nothing: the window knobs are
 		// meaningless and the ablations have nothing to ablate.
 		if c.BeyondWindow || c.NoExtend {
@@ -185,12 +222,10 @@ func (c Config) Normalize() (Config, error) {
 		}
 		return c, nil
 	}
-	if c.Policy == PolicyCARFC || c.Policy == PolicyLTRF {
+	if !t.window && (c.BeyondWindow || c.NoExtend) {
 		// The rival designs have no nominal instruction window, so the
 		// window ablations do not apply to them.
-		if c.BeyondWindow || c.NoExtend {
-			return c, fmt.Errorf("core: BeyondWindow/NoExtend do not apply to %v", c.Policy)
-		}
+		return c, fmt.Errorf("core: BeyondWindow/NoExtend do not apply to %v", c.Policy)
 	}
 	if c.IW < 2 {
 		return c, fmt.Errorf("core: instruction window %d too small (min 2)", c.IW)
@@ -201,7 +236,7 @@ func (c Config) Normalize() (Config, error) {
 	if c.Capacity < 1 {
 		return c, fmt.Errorf("core: capacity %d invalid", c.Capacity)
 	}
-	if c.BeyondWindow && c.Policy == PolicyCompilerHints {
+	if c.BeyondWindow && t.hints {
 		return c, fmt.Errorf("core: BeyondWindow is unsound with compiler hints " +
 			"(transient tags assume the fixed nominal window)")
 	}
@@ -349,6 +384,7 @@ type Plan struct {
 //bow:state
 type Engine struct {
 	cfg   Config      //bow:snapskip -- design-point config, fixed at construction (buildEngines)
+	tr    traits      //bow:snapskip -- cfg.Policy's traits, bound with cfg
 	sink  RFWriteSink //bow:snapskip -- RF write wiring, rebound at construction
 	seq   int64
 	byReg [256]*entry //bow:derived -- index over live, rebuilt by LoadState via attach
@@ -372,7 +408,7 @@ func NewEngine(cfg Config, sink RFWriteSink) (*Engine, error) {
 	if cfg.Policy.Bypassing() && sink == nil {
 		return nil, fmt.Errorf("core: bypassing policy %v requires a write sink", cfg.Policy)
 	}
-	e := &Engine{cfg: cfg, sink: sink, interval: -1}
+	e := &Engine{cfg: cfg, tr: policyTraits[cfg.Policy], sink: sink, interval: -1}
 	e.reserve(0)
 	return e, nil
 }
@@ -384,7 +420,7 @@ func NewEngine(cfg Config, sink RFWriteSink) (*Engine, error) {
 // invariant ever slips by one. Non-bypassing policies buffer nothing
 // and need neither.
 func (e *Engine) reserve(have int) {
-	if !e.cfg.Policy.Bypassing() {
+	if !e.tr.buffers {
 		return
 	}
 	if cap(e.live) < e.cfg.Capacity+1 {
@@ -415,6 +451,7 @@ func (e *Engine) Reset(cfg Config) error {
 		return fmt.Errorf("core: bypassing policy %v requires a write sink", cfg.Policy)
 	}
 	e.cfg = cfg
+	e.tr = policyTraits[cfg.Policy]
 	e.seq = 0
 	e.interval = -1
 	e.stats = Stats{}
@@ -528,17 +565,17 @@ func (e *Engine) Advance(in *isa.Instruction) Plan {
 	e.stats.Instructions++
 	p := Plan{Seq: e.seq}
 
-	if !e.cfg.Policy.Bypassing() {
+	if !e.tr.buffers {
 		regs, n := in.UniqueSrcRegs()
 		for i := 0; i < n; i++ {
 			p.NeedRF[p.NNeedRF] = regs[i]
 			p.NNeedRF++
 			e.stats.RFReads++
-			if e.cfg.Policy == PolicySCRF && in.SrcNarrowOf(regs[i]) {
+			if e.tr.compressed && in.SrcNarrowOf(regs[i]) {
 				e.stats.CompressedReads++
 			}
 		}
-		if e.cfg.Policy == PolicySCRF && in.DstNarrow {
+		if e.tr.compressed && in.DstNarrow {
 			if _, ok := in.DstReg(); ok {
 				// The write-back this instruction will perform hits a
 				// narrow register; count it here where the hint is at
@@ -554,7 +591,7 @@ func (e *Engine) Advance(in *isa.Instruction) Plan {
 	// IW or more instructions behind; ltrf instead drains the whole
 	// buffer at prefetch-interval boundaries (carfc's effectively
 	// unbounded IW makes expiry a no-op).
-	if e.cfg.Policy == PolicyLTRF {
+	if e.tr.intervalDrain {
 		if in.Interval != e.interval {
 			e.drainInterval()
 			e.interval = in.Interval
@@ -569,7 +606,7 @@ func (e *Engine) Advance(in *isa.Instruction) Plan {
 	regs, n := in.UniqueSrcRegs()
 	for i := 0; i < n; i++ {
 		r := regs[i]
-		lastUse := e.cfg.Policy == PolicyCARFC && in.LastUseOf(r)
+		lastUse := e.tr.lastUse && in.LastUseOf(r)
 		if en := e.byReg[r]; en != nil {
 			if !e.cfg.NoExtend {
 				en.lastAccess = e.seq
@@ -666,7 +703,7 @@ func (e *Engine) evict(en *entry, capacity bool) {
 		e.detach(en)
 		return
 	}
-	if e.cfg.Policy == PolicyCompilerHints && en.hint == isa.WBCollectorOnly {
+	if e.tr.window && e.tr.hints && en.hint == isa.WBCollectorOnly {
 		// Transient value: dead beyond the window, never touches the RF.
 		e.stats.DroppedTransient++
 		e.detach(en)
@@ -732,7 +769,7 @@ func (e *Engine) emitRF(r uint8, v Value, cause WriteCause) {
 //
 //bow:hotpath
 func (e *Engine) FillFromRF(reg uint8, val Value, seq int64) {
-	if !e.cfg.Policy.Bypassing() {
+	if !e.tr.buffers {
 		return
 	}
 	if en := e.byReg[reg]; en != nil {
@@ -753,34 +790,28 @@ func (e *Engine) FillFromRF(reg uint8, val Value, seq int64) {
 //
 //bow:hotpath
 func (e *Engine) Writeback(reg uint8, val Value, hint isa.WritebackHint, seq int64) bool {
-	// Every policy must take a write-path stance; policyexhaustive
-	// holds this roster closed under policy addition.
-	//bow:policyexhaustive
-	switch e.cfg.Policy {
-	case PolicyBaseline, PolicySCRF:
+	if !e.tr.buffers {
 		e.emitRF(reg, val, CauseWriteThrough)
 		return false
-	case PolicyWriteThrough:
+	}
+	if e.tr.writeThrough {
 		e.emitRF(reg, val, CauseWriteThrough)
 		e.install(reg, val, false, isa.WBBoth, seq)
 		return true
-	case PolicyWriteBack, PolicyLTRF:
-		e.install(reg, val, true, isa.WBBoth, seq)
-		return true
-	case PolicyCompilerHints, PolicyCARFC:
-		if hint == isa.WBRegfileOnly {
-			// Straight to the RF; drop any stale window copy (its pending
-			// write was already cancelled by Advance's consolidation).
-			if en := e.byReg[reg]; en != nil {
-				e.detach(en)
-			}
-			e.emitRF(reg, val, CauseHintDirect)
-			return false
-		}
-		e.install(reg, val, true, hint, seq)
-		return true
 	}
-	return false
+	if !e.tr.hints {
+		hint = isa.WBBoth
+	} else if hint == isa.WBRegfileOnly {
+		// Straight to the RF; drop any stale window copy (its pending
+		// write was already cancelled by Advance's consolidation).
+		if en := e.byReg[reg]; en != nil {
+			e.detach(en)
+		}
+		e.emitRF(reg, val, CauseHintDirect)
+		return false
+	}
+	e.install(reg, val, true, hint, seq)
+	return true
 }
 
 // install creates or refreshes the window entry for reg.

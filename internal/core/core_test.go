@@ -336,3 +336,44 @@ func TestDrainToRF(t *testing.T) {
 		t.Errorf("occupancy after drain = %d, want 0", eng.Occupancy())
 	}
 }
+
+// TestRivalEngineBehaviours pins the two engine behaviours only the
+// rival policies select: carfc frees an entry at a compiler-marked last
+// read (dropping its dead dirty value without an RF write), and ltrf
+// drains dirty values to the RF when the prefetch interval changes.
+func TestRivalEngineBehaviours(t *testing.T) {
+	var causes []WriteCause
+	sink := func(_ uint8, _ Value, c WriteCause) { causes = append(causes, c) }
+	def := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: 1, PredReg: isa.PredTrue}
+	use := &isa.Instruction{Op: isa.OpAdd, HasDst: true, Dst: 2, NSrc: 2, PredReg: isa.PredTrue}
+	use.Srcs[0], use.Srcs[1] = isa.Reg(1), isa.Imm(1)
+	use.SrcLastUse = 1
+
+	carfc, err := NewEngine(Config{IW: 1 << 30, Capacity: 6, Policy: PolicyCARFC}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carfc.Writeback(1, Value{}, isa.WBBoth, carfc.Advance(def).Seq)
+	if plan := carfc.Advance(use); plan.NBypassed != 1 {
+		t.Fatalf("carfc: last read of r1 not forwarded: %+v", plan)
+	}
+	if _, ok := carfc.Lookup(1); ok {
+		t.Error("carfc: last-use read left r1 buffered")
+	}
+	if st := carfc.Stats(); st.LastUseFrees != 1 || st.DroppedTransient != 1 || st.RFWrites != 0 {
+		t.Errorf("carfc: stats %+v, want one free dropping one dead value", st)
+	}
+
+	causes = nil
+	ltrf, err := NewEngine(Config{IW: 1 << 30, Capacity: 8, Policy: PolicyLTRF}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ltrf.Writeback(1, Value{}, isa.WBBoth, ltrf.Advance(def).Seq)
+	next := *def
+	next.Dst, next.Interval = 3, 1
+	ltrf.Advance(&next)
+	if st := ltrf.Stats(); st.IntervalDrains != 1 || len(causes) != 1 || causes[0] != CauseIntervalDrain {
+		t.Errorf("ltrf: drains %d, RF writes %v; want one interval drain writing r1", st.IntervalDrains, causes)
+	}
+}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"bow/internal/carfc"
 	"bow/internal/core"
 	"bow/internal/energy"
-	"bow/internal/ltrf"
-	"bow/internal/rfc"
+	"bow/internal/policy"
 	"bow/internal/simjob"
 	"bow/internal/stats"
 )
@@ -32,37 +30,23 @@ type CrossPolicyResult struct {
 	Storage     map[string]int // policy -> added bytes per SM
 }
 
-// crossPolicyStorage is the added per-SM storage of one architecture's
-// default design point, relative to the baseline's 3-entry operand
-// collectors.
+// crossPolicyStorage is the added per-SM storage of an architecture's
+// design point, relative to the baseline's 3-entry operand collectors,
+// by the storage rule of the config's internal/policy row.
 func crossPolicyStorage(bcfg core.Config, warps int) int {
-	//bow:policyexhaustive
-	switch bcfg.Policy {
-	case core.PolicyWriteBack:
-		if bcfg.ForwardThroughPort { // the rfc comparator
-			return rfc.StorageBytes(bcfg.Capacity, warps)
-		}
-		return (bcfg.Capacity - 3) * 128 * warps
-	case core.PolicyWriteThrough, core.PolicyCompilerHints:
-		// BOC entries beyond the baseline collectors' three, per warp.
-		return (bcfg.Capacity - 3) * 128 * warps
-	case core.PolicyCARFC:
-		return carfc.StorageBytes(bcfg.Capacity, warps)
-	case core.PolicyLTRF:
-		return ltrf.StorageBytes(bcfg.Capacity, warps)
-	case core.PolicyBaseline, core.PolicySCRF:
-		// Baseline adds nothing by definition; SCRF compresses in place —
-		// no extra operand storage, the win is per-access energy.
+	a, ok := policy.Of(bcfg)
+	if !ok {
 		return 0
 	}
-	return 0
+	return a.StorageBytes(bcfg, warps)
 }
 
-// CrossPolicy runs the five-way architecture race: one simulation per
-// (policy, benchmark) at the policy's default design point, every
-// policy normalized against the same baseline run. The roster comes
-// from simjob.AllPolicies, so a policy added there joins the race (and
-// its prewarm) without touching this experiment.
+// CrossPolicy runs the architecture race over the whole roster: one
+// simulation per (policy, benchmark) at the policy's default design
+// point, every policy normalized against the same baseline run. The
+// roster comes from simjob.AllPolicies (internal/policy's rows), so a
+// row added there joins the race (and its prewarm) without touching
+// this experiment.
 func CrossPolicy(r *Runner) (*CrossPolicyResult, error) {
 	res := &CrossPolicyResult{
 		IPCGain:     map[string]map[string]float64{},
@@ -93,11 +77,10 @@ func CrossPolicy(r *Runner) (*CrossPolicyResult, error) {
 		baseRep := energy.Compute(base.Energy)
 		res.Benchmarks = append(res.Benchmarks, b.Name)
 		for _, p := range res.Policies {
-			out := base
-			if configs[p].Policy != core.PolicyBaseline {
-				if out, err = r.Run(b, configs[p]); err != nil {
-					return nil, fmt.Errorf("cross-policy: %s/%s: %w", p, b.Name, err)
-				}
+			// The baseline's own point is the memoized run above.
+			out, err := r.Run(b, configs[p])
+			if err != nil {
+				return nil, fmt.Errorf("cross-policy: %s/%s: %w", p, b.Name, err)
 			}
 			gain := out.Stats.IPC()/base.Stats.IPC() - 1
 			rfFrac, ovhFrac, err := energy.Normalized(energy.Compute(out.Energy), baseRep)

@@ -6,7 +6,7 @@ import (
 
 	"bow/internal/core"
 	"bow/internal/energy"
-	"bow/internal/rfc"
+	"bow/internal/simjob"
 	"bow/internal/stats"
 )
 
@@ -107,14 +107,18 @@ type RFCResult struct {
 
 // RFC runs the comparator at 6 entries per warp.
 func RFC(r *Runner) (*RFCResult, error) {
+	rfcCfg, err := simjob.DefaultPolicyConfig(simjob.PolicyRFC)
+	if err != nil {
+		return nil, err
+	}
+	wrCfg := core.Config{IW: 3, Capacity: 6, Policy: core.PolicyCompilerHints}
 	res := &RFCResult{
 		RFCImprove:   map[string]float64{},
 		BOWWRImprove: map[string]float64{},
-		RFCBytes:     rfc.StorageBytes(rfc.DefaultEntriesPerWarp, r.GCfg.MaxWarpsPerSM),
-		// Added storage of the half-size BOC relative to the baseline
-		// 3-entry (384 B) operand collectors: (6-3) entries × 128 B per
-		// warp — the paper's 12 KB at 32 warps.
-		BOWWRBytes: (6*128 - 384) * r.GCfg.MaxWarpsPerSM,
+		RFCBytes:     crossPolicyStorage(rfcCfg, r.GCfg.MaxWarpsPerSM),
+		// The half-size BOC adds (6-3) entries × 128 B per warp over the
+		// baseline's collectors — the paper's 12 KB at 32 warps.
+		BOWWRBytes: crossPolicyStorage(wrCfg, r.GCfg.MaxWarpsPerSM),
 	}
 
 	n := float64(len(Suite()))
@@ -123,11 +127,11 @@ func RFC(r *Runner) (*RFCResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rfcOut, err := r.Run(b, rfc.Config(rfc.DefaultEntriesPerWarp))
+		rfcOut, err := r.Run(b, rfcCfg)
 		if err != nil {
 			return nil, err
 		}
-		wr, err := r.Run(b, core.Config{IW: 3, Capacity: 6, Policy: core.PolicyCompilerHints})
+		wr, err := r.Run(b, wrCfg)
 		if err != nil {
 			return nil, err
 		}

@@ -7,28 +7,34 @@ import (
 	"bow/internal/simjob"
 )
 
-// prewarmPoints enumerates every (config, reorder, trace) point the
-// figure generators request, so a prewarm can fan the whole evaluation
-// out across the engine's workers at once. The list mirrors the
-// experiment functions (Fig 3–13, Tables, RFC, ablations); drift is
-// benign — missed points are simulated on demand, they just lose the
-// head start.
-func prewarmPoints() []struct {
+// prewarmPoint is one simulation of the evaluation: a normalized
+// window config, whether the reorder pass runs, and whether traces are
+// captured.
+type prewarmPoint struct {
 	cfg     core.Config
 	reorder bool
 	trace   bool
-} {
-	var pts []struct {
-		cfg     core.Config
-		reorder bool
-		trace   bool
-	}
+}
+
+// prewarmPoints enumerates every point the figure generators request,
+// once each, so a prewarm can fan the whole evaluation out across the
+// engine's workers at once. The list mirrors the experiment functions
+// (Fig 3–13, Tables, RFC, ablations); drift is benign — missed points
+// are simulated on demand, they just lose the head start.
+func prewarmPoints() []prewarmPoint {
+	var pts []prewarmPoint
 	add := func(cfg core.Config, reorder, trace bool) {
-		pts = append(pts, struct {
-			cfg     core.Config
-			reorder bool
-			trace   bool
-		}{cfg, reorder, trace})
+		cfg, err := cfg.Normalize()
+		if err != nil {
+			return
+		}
+		p := prewarmPoint{cfg, reorder, trace}
+		for _, q := range pts {
+			if q == p {
+				return
+			}
+		}
+		pts = append(pts, p)
 	}
 
 	// Baseline (Figs 4, 8, 10–13, energy normalizations) and traces
@@ -45,29 +51,16 @@ func prewarmPoints() []struct {
 	for _, iw := range []int{2, 3, 4} {
 		add(core.Config{IW: iw, Policy: core.PolicyWriteThrough}, false, false)
 	}
-	// Fig 11 down-sized BOCs (12 = the IW-3 default, already queued).
+	// Fig 11 down-sized BOCs.
 	add(core.Config{IW: 3, Capacity: 6, Policy: core.PolicyCompilerHints}, false, false)
 	add(core.Config{IW: 3, Capacity: 3, Policy: core.PolicyCompilerHints}, false, false)
-	// Comparator architectures at their default design points — derived
-	// from the full policy roster, so a policy added to simjob joins the
-	// prewarm set (and the cross-policy race) without touching this
-	// list. Baseline and the windowed BOW points above are already
-	// queued; re-adding them here is harmless (the engine's
-	// single-flight layer dedupes) but skipped for clarity.
+	// Every architecture at its default design point (the cross-policy
+	// race) — derived from the full roster, so a policy added to
+	// internal/policy joins the prewarm set without touching this list.
 	for _, p := range simjob.AllPolicies() {
-		//bow:policyexhaustive
-		switch p {
-		case simjob.PolicyBaseline, simjob.PolicyBOWWT, simjob.PolicyBOWWB, simjob.PolicyBOWWR:
-			// Already queued above at their figure-specific design points.
-			continue
-		case simjob.PolicyRFC, simjob.PolicyCARFC, simjob.PolicyLTRF, simjob.PolicySCRF:
-			// Comparators prewarm at their sibling-package defaults below.
+		if cfg, err := simjob.DefaultPolicyConfig(p); err == nil {
+			add(cfg, false, false)
 		}
-		cfg, err := simjob.DefaultPolicyConfig(p)
-		if err != nil {
-			continue
-		}
-		add(cfg, false, false)
 	}
 	// Future-work capacity-bound bypassing and the extension ablation.
 	add(core.Config{IW: 3, Capacity: 6, Policy: core.PolicyWriteBack}, false, false)
@@ -92,11 +85,7 @@ func Prewarm(r *Runner) int {
 	n := 0
 	for _, b := range Suite() {
 		for _, p := range prewarmPoints() {
-			bcfg, err := p.cfg.Normalize()
-			if err != nil {
-				continue
-			}
-			spec, ok := r.engineSpec(b, bcfg, p.reorder, p.trace)
+			spec, ok := r.engineSpec(b, p.cfg, p.reorder, p.trace)
 			if !ok {
 				continue
 			}

@@ -37,7 +37,6 @@ type Runner struct {
 type runKey struct {
 	bench   string
 	cfg     core.Config
-	hints   bool
 	reorder bool
 	trace   bool
 }
@@ -57,9 +56,9 @@ func NewEngineRunner(e *simjob.Engine) *Runner {
 	return r
 }
 
-// Run executes one benchmark under one bypass configuration. hints
-// selects whether the compiler pass annotates write-back hints (it is
-// implied by PolicyCompilerHints).
+// Run executes one benchmark under one bypass configuration; the
+// kernel gets whichever compiler passes the configuration's policy
+// consumes (artifact.KeyForConfig).
 func (r *Runner) Run(b *workloads.Benchmark, bcfg core.Config) (*gpu.Result, error) {
 	return r.run(b, bcfg, false, false)
 }
@@ -87,8 +86,7 @@ func (r *Runner) run(b *workloads.Benchmark, bcfg core.Config, reorder, trace bo
 	if err != nil {
 		return nil, err
 	}
-	hints := bcfg.Policy == core.PolicyCompilerHints
-	key := runKey{bench: b.Name, cfg: bcfg, hints: hints, reorder: reorder, trace: trace}
+	key := runKey{bench: b.Name, cfg: bcfg, reorder: reorder, trace: trace}
 	if r.cache == nil {
 		r.cache = make(map[runKey]*gpu.Result)
 	}
@@ -147,11 +145,7 @@ func (r *Runner) engineSpec(b *workloads.Benchmark, bcfg core.Config, reorder, t
 // prepared kernel and sealed memory image), unregistered benchmark
 // values build uncached.
 func (r *Runner) simulateInline(b *workloads.Benchmark, bcfg core.Config, reorder, trace bool) (*gpu.Result, error) {
-	hints, param := artifact.PassForPolicy(bcfg)
-	if reorder && param == 0 {
-		param = bcfg.IW
-	}
-	key := artifact.KeyFor(b.Name, reorder, hints, param)
+	key := artifact.KeyForConfig(b.Name, bcfg, reorder)
 	var (
 		pk  *artifact.Kernel
 		img *artifact.Image

@@ -40,15 +40,16 @@ func TableI() (*TableIResult, error) {
 		WT:   map[int]int64{}, WB: map[int]int64{}, Hints: map[int]int64{},
 	}
 	for _, pol := range []struct {
-		p    core.Policy
-		dest map[int]int64
+		p     core.Policy
+		dest  map[int]int64
+		hints bool // annotate the write-back hints first
 	}{
-		{core.PolicyWriteThrough, res.WT},
-		{core.PolicyWriteBack, res.WB},
-		{core.PolicyCompilerHints, res.Hints},
+		{core.PolicyWriteThrough, res.WT, false},
+		{core.PolicyWriteBack, res.WB, false},
+		{core.PolicyCompilerHints, res.Hints, true},
 	} {
 		prog := workloads.BTreeSnippet()
-		if pol.p == core.PolicyCompilerHints {
+		if pol.hints {
 			if _, err := compiler.Annotate(prog, 3); err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"bow/internal/asm"
 	"bow/internal/core"
 	"bow/internal/mem"
+	"bow/internal/policy"
 	"bow/internal/sm"
 )
 
@@ -16,8 +17,7 @@ import (
 // register file at service time — they must agree at the end of a run.
 func TestTrafficConsistency(t *testing.T) {
 	for _, bcfg := range allPolicies() {
-		hints := policyHints(bcfg.Policy)
-		res, _ := runKernel(t, loopSrc, 4, 128, []uint32{0x4000}, nil, bcfg, hints)
+		res, _ := runKernel(t, loopSrc, 4, 128, []uint32{0x4000}, nil, bcfg)
 		if res.RF.Reads != res.Engine.RFReads {
 			t.Errorf("%v: banks served %d reads, engine planned %d",
 				bcfg.Policy, res.RF.Reads, res.Engine.RFReads)
@@ -31,21 +31,16 @@ func TestTrafficConsistency(t *testing.T) {
 
 	// The invariance sweep below must keep covering every architecture
 	// the simulator models — a roster regression here would silently
-	// shrink the strongest cross-policy accounting check. The literal is
-	// pinned to the full core.Policy universe by bowvet's
-	// policyexhaustive pass, and the loop pins allPolicies to it.
-	//bow:policyexhaustive
-	fullRoster := []core.Policy{
-		core.PolicyBaseline, core.PolicyWriteThrough, core.PolicyWriteBack,
-		core.PolicyCompilerHints, core.PolicyCARFC, core.PolicyLTRF, core.PolicySCRF,
-	}
-	covered := map[core.Policy]bool{}
+	// shrink the strongest cross-policy accounting check.
+	covered := map[*policy.Arch]bool{}
 	for _, bcfg := range allPolicies() {
-		covered[bcfg.Policy] = true
+		if a, ok := policy.Of(bcfg); ok {
+			covered[a] = true
+		}
 	}
-	for _, p := range fullRoster {
-		if !covered[p] {
-			t.Errorf("allPolicies omits %v; the traffic invariants below no longer race it", p)
+	for i := range policy.Roster {
+		if a := &policy.Roster[i]; !covered[a] {
+			t.Errorf("allPolicies omits %s; the traffic invariants below no longer race it", a.Name)
 		}
 	}
 
@@ -53,8 +48,7 @@ func TestTrafficConsistency(t *testing.T) {
 	// across policies (same dynamic instruction stream).
 	var totReads, totWrites int64
 	for i, bcfg := range allPolicies() {
-		hints := policyHints(bcfg.Policy)
-		res, _ := runKernel(t, loopSrc, 4, 128, []uint32{0x4000}, nil, bcfg, hints)
+		res, _ := runKernel(t, loopSrc, 4, 128, []uint32{0x4000}, nil, bcfg)
 		r := res.Engine.RFReads + res.Engine.BypassedRead
 		w := res.Engine.TotalWrites()
 		if i == 0 {
@@ -84,7 +78,7 @@ func TestPartialWarp(t *testing.T) {
 `
 	const block = 48 // 1.5 warps
 	_, m := runKernel(t, src, 1, block, []uint32{0x7000}, nil,
-		core.Config{IW: 3, Policy: core.PolicyWriteBack}, false)
+		core.Config{IW: 3, Policy: core.PolicyWriteBack})
 	for tid := 0; tid < block; tid++ {
 		got, _ := m.Read32(0x7000 + uint32(4*tid))
 		if got != uint32(tid) {
@@ -129,12 +123,12 @@ func TestDeterminism(t *testing.T) {
 // be nonzero for bypassing policies.
 func TestEnergyCounters(t *testing.T) {
 	base, _ := runKernel(t, loopSrc, 2, 64, []uint32{0x4000}, nil,
-		core.Config{Policy: core.PolicyBaseline}, false)
+		core.Config{Policy: core.PolicyBaseline})
 	if base.Energy.BOCReads != 0 || base.Energy.BOCWrites != 0 {
 		t.Errorf("baseline touched the BOC: %+v", base.Energy)
 	}
 	bow, _ := runKernel(t, loopSrc, 2, 64, []uint32{0x4000}, nil,
-		core.Config{IW: 3, Policy: core.PolicyWriteBack}, false)
+		core.Config{IW: 3, Policy: core.PolicyWriteBack})
 	if bow.Energy.BOCReads == 0 || bow.Energy.BOCWrites == 0 {
 		t.Error("BOW never touched the BOC")
 	}

@@ -5,13 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"bow/internal/asm"
-	"bow/internal/carfc"
 	"bow/internal/core"
-	"bow/internal/ltrf"
 	"bow/internal/mem"
-	"bow/internal/scrf"
-	"bow/internal/sm"
+	"bow/internal/policy"
 )
 
 // genKernel emits a random but well-formed kernel: a prologue computing
@@ -95,26 +91,18 @@ func TestDifferentialFuzz(t *testing.T) {
 		{IW: 2, Capacity: 2, Policy: core.PolicyWriteBack},
 		// Rival architectures: defaults plus tiny capacities, which
 		// force eviction (carfc) and interval splitting (ltrf).
-		carfc.Config(carfc.DefaultEntriesPerWarp),
-		carfc.Config(2),
-		ltrf.Config(ltrf.DefaultEntriesPerWarp),
-		ltrf.Config(2),
-		scrf.Config(),
+		rowConfig(policy.CARFC, 0),
+		rowConfig(policy.CARFC, 2),
+		rowConfig(policy.LTRF, 0),
+		rowConfig(policy.LTRF, 2),
+		rowConfig(policy.SCRF, 0),
 	}
 	for trial := 0; trial < trials; trial++ {
 		src := genKernel(r)
 		var ref []uint32
 		for pi, bcfg := range policies {
-			prog, err := asm.Parse(src)
-			if err != nil {
-				t.Fatalf("trial %d: generated invalid kernel: %v\n%s", trial, err, src)
-			}
-			if policyHints(bcfg.Policy) {
-				annotateFor(t, prog, bcfg)
-			}
 			m := mem.NewMemory()
-			k := &sm.Kernel{Program: prog, GridDim: grid, BlockDim: block,
-				Params: []uint32{0x10000}}
+			k := prepareFor(t, src, grid, block, []uint32{0x10000}, bcfg)
 			d, err := New(smallGPU(), bcfg, k, m)
 			if err != nil {
 				t.Fatal(err)

@@ -3,15 +3,13 @@ package gpu
 import (
 	"testing"
 
-	"bow/internal/asm"
-	"bow/internal/carfc"
-	"bow/internal/compiler"
+	"bow/internal/artifact"
 	"bow/internal/config"
 	"bow/internal/core"
-	"bow/internal/ltrf"
 	"bow/internal/mem"
-	"bow/internal/scrf"
+	"bow/internal/policy"
 	"bow/internal/sm"
+	"bow/internal/workloads"
 )
 
 const vecaddSrc = `
@@ -83,52 +81,28 @@ func smallGPU() config.GPU {
 	return g
 }
 
-// policyHints reports whether the policy consumes compiler-provided
-// instruction hints, i.e. whether a faithful test run must apply the
-// policy's annotation pass first.
-func policyHints(p core.Policy) bool {
-	switch p {
-	case core.PolicyCompilerHints, core.PolicyCARFC, core.PolicyLTRF, core.PolicySCRF:
-		return true
-	}
-	return false
-}
-
-// annotateFor runs the annotation pass the policy consumes.
-func annotateFor(t *testing.T, prog *asm.Program, bcfg core.Config) {
+// prepareFor builds the launch kernel of src under bcfg the way every
+// engine path does: parsed, then run through the annotation pass bcfg's
+// policy consumes (artifact.PassForPolicy).
+func prepareFor(t *testing.T, src string, grid, block int, params []uint32, bcfg core.Config) *sm.Kernel {
 	t.Helper()
-	var err error
-	switch bcfg.Policy {
-	case core.PolicyCompilerHints:
-		_, err = compiler.Annotate(prog, bcfg.IW)
-	case core.PolicyCARFC:
-		_, err = compiler.AnnotateCARFC(prog)
-	case core.PolicyLTRF:
-		_, err = compiler.AnnotateLTRF(prog, bcfg.Capacity)
-	case core.PolicySCRF:
-		_, err = compiler.AnnotateSCRF(prog)
-	}
+	b := &workloads.Benchmark{Name: "test", Source: src, GridDim: grid, BlockDim: block, Params: params}
+	hints, param := artifact.PassForPolicy(bcfg)
+	pk, err := artifact.BuildKernelFor(b, artifact.KeyFor(b.Name, false, hints, param))
 	if err != nil {
-		t.Fatalf("annotate %v: %v", bcfg.Policy, err)
+		t.Fatalf("prepare %v: %v\n%s", bcfg.Policy, err, src)
 	}
+	return pk.NewSMKernel()
 }
 
 func runKernel(t *testing.T, src string, grid, block int, params []uint32,
-	init func(*mem.Memory), bcfg core.Config, hints bool) (*Result, *mem.Memory) {
+	init func(*mem.Memory), bcfg core.Config) (*Result, *mem.Memory) {
 	t.Helper()
-	prog, err := asm.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if hints {
-		annotateFor(t, prog, bcfg)
-	}
 	m := mem.NewMemory()
 	if init != nil {
 		init(m)
 	}
-	k := &sm.Kernel{Program: prog, GridDim: grid, BlockDim: block, Params: params}
-	d, err := New(smallGPU(), bcfg, k, m)
+	d, err := New(smallGPU(), bcfg, prepareFor(t, src, grid, block, params, bcfg), m)
 	if err != nil {
 		t.Fatalf("device: %v", err)
 	}
@@ -139,23 +113,40 @@ func runKernel(t *testing.T, src string, grid, block int, params []uint32,
 	return res, m
 }
 
-func allPolicies() []core.Config {
-	return []core.Config{
-		{Policy: core.PolicyBaseline},
-		{IW: 3, Policy: core.PolicyWriteThrough},
-		{IW: 3, Policy: core.PolicyWriteBack},
-		{IW: 3, Policy: core.PolicyCompilerHints},
-		{IW: 3, Capacity: 6, Policy: core.PolicyCompilerHints}, // half-size BOC
-		{IW: 2, Policy: core.PolicyWriteBack},
-		{IW: 5, Policy: core.PolicyWriteBack},
-		// Rival register-file architectures at their default design
-		// points, plus a tiny carfc to stress capacity eviction.
-		carfc.Config(carfc.DefaultEntriesPerWarp),
-		carfc.Config(2),
-		ltrf.Config(ltrf.DefaultEntriesPerWarp),
-		ltrf.Config(3),
-		scrf.Config(),
+// rowConfig is roster architecture name's engine config at the given
+// buffer capacity (0 = the row's default; windowed rows run IW 3).
+func rowConfig(name string, capacity int) core.Config {
+	a, ok := policy.Lookup(name)
+	if !ok {
+		panic("unknown architecture " + name)
 	}
+	cfg, err := a.Config(policy.DefaultIW, capacity, false, false)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
+// allPolicies is every roster architecture at its default design point,
+// baseline first, plus stress points: a half-size BOC, small and large
+// windows, and tiny rival buffers that force capacity eviction (carfc)
+// and interval splitting (ltrf).
+func allPolicies() []core.Config {
+	var out []core.Config
+	for i := range policy.Roster {
+		cfg, err := policy.Roster[i].DefaultConfig()
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, cfg)
+	}
+	return append(out,
+		core.Config{IW: 3, Capacity: 6, Policy: core.PolicyCompilerHints},
+		core.Config{IW: 2, Policy: core.PolicyWriteBack},
+		core.Config{IW: 5, Policy: core.PolicyWriteBack},
+		rowConfig(policy.CARFC, 2),
+		rowConfig(policy.LTRF, 3),
+	)
 }
 
 func TestVecAddAllPolicies(t *testing.T) {
@@ -168,8 +159,7 @@ func TestVecAddAllPolicies(t *testing.T) {
 		}
 	}
 	for _, bcfg := range allPolicies() {
-		hints := policyHints(bcfg.Policy)
-		res, m := runKernel(t, vecaddSrc, grid, block, []uint32{baseA, baseB, baseC}, init, bcfg, hints)
+		res, m := runKernel(t, vecaddSrc, grid, block, []uint32{baseA, baseB, baseC}, init, bcfg)
 		for i := 0; i < n; i++ {
 			got, _ := m.Read32(baseC + uint32(4*i))
 			want := uint32(i*3) + uint32(1000+i)
@@ -187,8 +177,7 @@ func TestLoopKernelAllPolicies(t *testing.T) {
 	const grid, block, n = 2, 64, 2 * 64
 	base := uint32(0x4000)
 	for _, bcfg := range allPolicies() {
-		hints := policyHints(bcfg.Policy)
-		_, m := runKernel(t, loopSrc, grid, block, []uint32{base}, nil, bcfg, hints)
+		_, m := runKernel(t, loopSrc, grid, block, []uint32{base}, nil, bcfg)
 		for cta := 0; cta < grid; cta++ {
 			for tid := 0; tid < block; tid++ {
 				got, _ := m.Read32(base + uint32(4*(cta*block+tid)))
@@ -205,8 +194,7 @@ func TestDivergenceAllPolicies(t *testing.T) {
 	const grid, block = 1, 64
 	base := uint32(0x5000)
 	for _, bcfg := range allPolicies() {
-		hints := policyHints(bcfg.Policy)
-		res, m := runKernel(t, divergeSrc, grid, block, []uint32{base}, nil, bcfg, hints)
+		res, m := runKernel(t, divergeSrc, grid, block, []uint32{base}, nil, bcfg)
 		for tid := 0; tid < block; tid++ {
 			got, _ := m.Read32(base + uint32(4*tid))
 			want := uint32(0x222)
@@ -229,9 +217,9 @@ func TestBypassImprovesIPC(t *testing.T) {
 	const grid, block = 8, 128
 	base := uint32(0x4000)
 	baseRes, _ := runKernel(t, loopSrc, grid, block, []uint32{base}, nil,
-		core.Config{Policy: core.PolicyBaseline}, false)
+		core.Config{Policy: core.PolicyBaseline})
 	bowRes, _ := runKernel(t, loopSrc, grid, block, []uint32{base}, nil,
-		core.Config{IW: 3, Policy: core.PolicyWriteBack}, false)
+		core.Config{IW: 3, Policy: core.PolicyWriteBack})
 
 	if bowRes.Stats.IPC() <= baseRes.Stats.IPC() {
 		t.Errorf("BOW IPC %.3f not better than baseline %.3f",
@@ -264,19 +252,14 @@ func TestRegisterOracle(t *testing.T) {
 		{IW: 2, Policy: core.PolicyWriteBack},
 		{IW: 5, Policy: core.PolicyWriteBack},
 		{IW: 3, Capacity: 3, Policy: core.PolicyWriteBack}, // tiny BOC stress
-		ltrf.Config(ltrf.DefaultEntriesPerWarp),
-		ltrf.Config(3), // tiny buffer: frequent capacity-split intervals
-		scrf.Config(),
+		rowConfig(policy.LTRF, 0),
+		rowConfig(policy.LTRF, 3), // tiny buffer: frequent capacity-split intervals
+		rowConfig(policy.SCRF, 0),
 	}
 	var ref map[[2]int][]core.Value
 	for i, bcfg := range policies {
-		prog := asm.MustParse(loopSrc)
-		if policyHints(bcfg.Policy) {
-			annotateFor(t, prog, bcfg)
-		}
-		m := mem.NewMemory()
-		k := &sm.Kernel{Program: prog, GridDim: grid, BlockDim: block, Params: []uint32{base}}
-		d, err := New(smallGPU(), bcfg, k, m)
+		k := prepareFor(t, loopSrc, grid, block, []uint32{base}, bcfg)
+		d, err := New(smallGPU(), bcfg, k, mem.NewMemory())
 		if err != nil {
 			t.Fatal(err)
 		}

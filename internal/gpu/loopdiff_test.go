@@ -5,13 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"bow/internal/asm"
-	"bow/internal/carfc"
 	"bow/internal/core"
-	"bow/internal/ltrf"
 	"bow/internal/mem"
-	"bow/internal/scrf"
-	"bow/internal/sm"
+	"bow/internal/policy"
 )
 
 // TestLoopDifferentialFuzz runs random kernels under the optimized and
@@ -34,9 +30,9 @@ func TestLoopDifferentialFuzz(t *testing.T) {
 		{IW: 3, Policy: core.PolicyWriteBack},
 		{IW: 3, Policy: core.PolicyCompilerHints},
 		{IW: 2, Capacity: 2, Policy: core.PolicyWriteBack}, // tiny BOC stress
-		carfc.Config(2),
-		ltrf.Config(3),
-		scrf.Config(),
+		rowConfig(policy.CARFC, 2),
+		rowConfig(policy.LTRF, 3),
+		rowConfig(policy.SCRF, 0),
 	}
 	for trial := 0; trial < trials; trial++ {
 		src := genKernel(r)
@@ -44,16 +40,8 @@ func TestLoopDifferentialFuzz(t *testing.T) {
 			var ref *Result
 			var refMem []uint32
 			for _, reference := range []bool{true, false} {
-				prog, err := asm.Parse(src)
-				if err != nil {
-					t.Fatalf("trial %d: generated invalid kernel: %v\n%s", trial, err, src)
-				}
-				if policyHints(bcfg.Policy) {
-					annotateFor(t, prog, bcfg)
-				}
 				m := mem.NewMemory()
-				k := &sm.Kernel{Program: prog, GridDim: grid, BlockDim: block,
-					Params: []uint32{0x10000}}
+				k := prepareFor(t, src, grid, block, []uint32{0x10000}, bcfg)
 				gcfg := smallGPU()
 				gcfg.ReferenceLoop = reference
 				d, err := New(gcfg, bcfg, k, m)

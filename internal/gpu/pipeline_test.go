@@ -25,7 +25,7 @@ func TestAtomicsReduction(t *testing.T) {
 		{Policy: core.PolicyBaseline},
 		{IW: 3, Policy: core.PolicyWriteBack},
 	} {
-		_, m := runKernel(t, src, grid, block, []uint32{0x100}, nil, bcfg, false)
+		_, m := runKernel(t, src, grid, block, []uint32{0x100}, nil, bcfg)
 		got, _ := m.Read32(0x100)
 		// Each CTA contributes sum(0..63); two CTAs.
 		want := uint32(2 * (63 * 64 / 2))
@@ -102,8 +102,7 @@ func TestPredicatedExecution(t *testing.T) {
   exit
 `
 	for _, bcfg := range allPolicies() {
-		hints := policyHints(bcfg.Policy)
-		_, m := runKernel(t, src, 1, 32, []uint32{0x3000}, nil, bcfg, hints)
+		_, m := runKernel(t, src, 1, 32, []uint32{0x3000}, nil, bcfg)
 		for tid := 0; tid < 32; tid++ {
 			got, _ := m.Read32(0x3000 + uint32(4*tid))
 			want := uint32(0x64)
@@ -131,7 +130,7 @@ func TestLocalMemory(t *testing.T) {
   exit
 `
 	_, m := runKernel(t, src, 1, 64, []uint32{0x4000}, nil,
-		core.Config{IW: 3, Policy: core.PolicyWriteBack}, false)
+		core.Config{IW: 3, Policy: core.PolicyWriteBack})
 	for tid := 0; tid < 64; tid++ {
 		got, _ := m.Read32(0x4000 + uint32(4*tid))
 		if got != uint32(tid) {
@@ -271,7 +270,7 @@ func TestSelInstruction(t *testing.T) {
   exit
 `
 	_, m := runKernel(t, src, 1, 32, []uint32{0x5000}, nil,
-		core.Config{IW: 3, Policy: core.PolicyCompilerHints}, true)
+		core.Config{IW: 3, Policy: core.PolicyCompilerHints})
 	for tid := 0; tid < 32; tid++ {
 		got, _ := m.Read32(0x5000 + uint32(4*tid))
 		want := uint32(0xAAA)
@@ -318,8 +317,7 @@ JOIN:
   exit
 `
 	for _, bcfg := range allPolicies() {
-		hints := policyHints(bcfg.Policy)
-		_, m := runKernel(t, src, 1, 32, []uint32{0x6000}, nil, bcfg, hints)
+		_, m := runKernel(t, src, 1, 32, []uint32{0x6000}, nil, bcfg)
 		want := []uint32{4, 1, 2, 3}
 		for tid := 0; tid < 32; tid++ {
 			got, _ := m.Read32(0x6000 + uint32(4*tid))

@@ -9,12 +9,9 @@ import (
 	"testing"
 
 	"bow/internal/artifact"
-	"bow/internal/carfc"
 	"bow/internal/core"
-	"bow/internal/ltrf"
 	"bow/internal/mem"
-	"bow/internal/rfc"
-	"bow/internal/scrf"
+	"bow/internal/policy"
 )
 
 // recycleRoster is every policy the engine serves — baseline, bow-wt,
@@ -30,13 +27,13 @@ var recycleRoster = []core.Config{
 	{IW: 7, Policy: core.PolicyWriteBack},
 	{IW: 2, Policy: core.PolicyCompilerHints},
 	{IW: 7, Policy: core.PolicyCompilerHints},
-	rfc.Config(2),
-	rfc.Config(12),
-	carfc.Config(2),
-	carfc.Config(12),
-	ltrf.Config(3),
-	ltrf.Config(12),
-	scrf.Config(),
+	rowConfig(policy.RFC, 2),
+	rowConfig(policy.RFC, 12),
+	rowConfig(policy.CARFC, 2),
+	rowConfig(policy.CARFC, 12),
+	rowConfig(policy.LTRF, 3),
+	rowConfig(policy.LTRF, 12),
+	rowConfig(policy.SCRF, 0),
 }
 
 func rosterName(c core.Config) string {

@@ -7,17 +7,13 @@ import (
 	"reflect"
 	"testing"
 
-	"bow/internal/carfc"
-	"bow/internal/compiler"
+	"bow/internal/artifact"
 	"bow/internal/config"
 	"bow/internal/core"
 	"bow/internal/gpu"
-	"bow/internal/ltrf"
 	"bow/internal/mem"
-	"bow/internal/scrf"
-	"bow/internal/sm"
+	"bow/internal/policy"
 	"bow/internal/trace"
-	"bow/internal/workloads"
 )
 
 // snapDevice builds a fresh device for a named benchmark. When prime is
@@ -25,42 +21,37 @@ import (
 // must start from empty memory instead — the snapshot carries it).
 func snapDevice(t *testing.T, bench string, bcfg core.Config, prime bool) *gpu.Device {
 	t.Helper()
-	b, err := workloads.ByName(bench)
+	pk, err := artifact.BuildKernel(artifact.KeyForConfig(bench, bcfg, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := b.Program()
-	var aerr error
-	switch bcfg.Policy {
-	case core.PolicyCompilerHints:
-		_, aerr = compiler.Annotate(prog, bcfg.IW)
-	case core.PolicyCARFC:
-		_, aerr = compiler.AnnotateCARFC(prog)
-	case core.PolicyLTRF:
-		_, aerr = compiler.AnnotateLTRF(prog, bcfg.Capacity)
-	case core.PolicySCRF:
-		_, aerr = compiler.AnnotateSCRF(prog)
-	}
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
 	m := mem.NewMemory()
-	if prime && b.Init != nil {
+	if b := pk.Benchmark(); prime && b.Init != nil {
 		if err := b.Init(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	k := &sm.Kernel{
-		Program: prog, GridDim: b.GridDim, BlockDim: b.BlockDim,
-		SharedLen: b.SharedLen, Params: b.Params,
-	}
 	g := config.SimDefault()
 	g.NumSMs = 2
-	d, err := gpu.New(g, bcfg, k, m)
+	d, err := gpu.New(g, bcfg, pk.NewSMKernel(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// defaultConfig is roster architecture name's default design point.
+func defaultConfig(t *testing.T, name string) core.Config {
+	t.Helper()
+	a, ok := policy.Lookup(name)
+	if !ok {
+		t.Fatalf("unknown architecture %s", name)
+	}
+	cfg, err := a.DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 func collectEvents(tr *trace.CycleTracer) []trace.Event {
@@ -80,9 +71,9 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 		{Policy: core.PolicyBaseline},
 		{IW: 2, Policy: core.PolicyWriteThrough},
 		{IW: 3, Policy: core.PolicyCompilerHints},
-		carfc.Config(carfc.DefaultEntriesPerWarp),
-		ltrf.Config(ltrf.DefaultEntriesPerWarp),
-		scrf.Config(),
+		defaultConfig(t, policy.CARFC),
+		defaultConfig(t, policy.LTRF),
+		defaultConfig(t, policy.SCRF),
 	}
 	for _, bench := range benches {
 		for _, bcfg := range policies {

@@ -219,7 +219,7 @@ func (e *Engine) runBatchChunk(ctx context.Context, specs []JobSpec, hashes []st
 		if err != nil {
 			return nil, err
 		}
-		pk, err := artifact.Default.Kernel(kernelKey(sp, bcfg))
+		pk, err := artifact.Default.Kernel(artifact.KeyForConfig(sp.Bench, bcfg, sp.Reorder))
 		if err != nil {
 			return nil, err
 		}

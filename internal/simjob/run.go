@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bow/internal/artifact"
-	"bow/internal/core"
 	"bow/internal/gpu"
 	"bow/internal/mem"
 	"bow/internal/trace"
@@ -62,20 +61,6 @@ func ExecuteUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 	return executeUntil(ctx, spec, tr, until)
 }
 
-// kernelKey builds the prepared-kernel artifact key for a normalized
-// spec: the annotation pass and its parameter follow the policy
-// (artifact.PassForPolicy), and the reorder pass — which consumes the
-// window size — contributes IW when no annotation pass already did.
-// Every kernel acquisition path in this package (per-job execution,
-// batched chunks, forked warm-ups) goes through here.
-func kernelKey(spec JobSpec, bcfg core.Config) artifact.KernelKey {
-	hints, param := artifact.PassForPolicy(bcfg)
-	if spec.Reorder && param == 0 {
-		param = bcfg.IW
-	}
-	return artifact.KeyFor(spec.Bench, spec.Reorder, hints, param)
-}
-
 func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, until int64) (*Outcome, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -96,7 +81,7 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 	// job starts from empty memory (the snapshot carries it), so only
 	// cold runs draw an image.
 	prepStart := time.Now()
-	key := kernelKey(spec, bcfg)
+	key := artifact.KeyForConfig(spec.Bench, bcfg, spec.Reorder)
 	var pk *artifact.Kernel
 	if uncachedPrep(ctx) {
 		pk, err = artifact.BuildKernel(key)

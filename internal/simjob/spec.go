@@ -17,58 +17,32 @@ import (
 	"fmt"
 	"strings"
 
-	"bow/internal/carfc"
 	"bow/internal/config"
 	"bow/internal/core"
-	"bow/internal/ltrf"
-	"bow/internal/rfc"
-	"bow/internal/scrf"
+	"bow/internal/policy"
 	"bow/internal/workloads"
 )
 
 // Policy names accepted by JobSpec.Policy (canonical forms; see
-// CanonicalPolicy for the aliases).
+// CanonicalPolicy for the aliases). Each names one internal/policy
+// row.
 const (
-	PolicyBaseline = "baseline"
-	PolicyBOWWT    = "bow-wt"
-	PolicyBOWWB    = "bow-wb"
-	PolicyBOWWR    = "bow-wr"
-	PolicyRFC      = "rfc"
-	PolicyCARFC    = "carfc"
-	PolicyLTRF     = "ltrf"
-	PolicySCRF     = "scrf"
+	PolicyBaseline = policy.Baseline
+	PolicyBOWWT    = policy.BOWWT
+	PolicyBOWWB    = policy.BOWWB
+	PolicyBOWWR    = policy.BOWWR
+	PolicyRFC      = policy.RFC
+	PolicyCARFC    = policy.CARFC
+	PolicyLTRF     = policy.LTRF
+	PolicySCRF     = policy.SCRF
 )
 
-// policyAliases is the single table every policy spelling flows
-// through: canonical name first, aliases after. CanonicalPolicy, its
-// error message, cmd/bowsim's -policy usage text, and the sweep/
-// experiment policy enumerations all derive from it, so a new policy
-// (or spelling) lands everywhere at once and the pieces cannot drift.
-// The exhaustiveness marker closes the loop in the other direction: a
-// ninth Policy* constant that never lands in this table is a lint
-// failure, not a name the engine silently refuses.
-//
-//bow:policyexhaustive
-var policyAliases = []struct {
-	Canonical string
-	Aliases   []string
-}{
-	{PolicyBaseline, nil},
-	{PolicyBOWWT, []string{"bow", "write-through"}},
-	{PolicyBOWWB, []string{"write-back"}},
-	{PolicyBOWWR, []string{"hints", "compiler"}},
-	{PolicyRFC, nil},
-	{PolicyCARFC, nil},
-	{PolicyLTRF, nil},
-	{PolicySCRF, nil},
-}
-
-// AllPolicies returns the canonical policy names in declaration order
-// — the full architecture roster a cross-policy sweep races.
+// AllPolicies returns the canonical policy names in roster order — the
+// full architecture roster a cross-policy sweep races.
 func AllPolicies() []string {
-	out := make([]string, len(policyAliases))
-	for i, p := range policyAliases {
-		out[i] = p.Canonical
+	out := make([]string, len(policy.Roster))
+	for i := range policy.Roster {
+		out[i] = policy.Roster[i].Name
 	}
 	return out
 }
@@ -78,9 +52,9 @@ func AllPolicies() []string {
 // -policy flag help and CanonicalPolicy's error share it.
 func PolicySpellings() string {
 	var parts []string
-	for _, p := range policyAliases {
-		parts = append(parts, p.Canonical)
-		parts = append(parts, p.Aliases...)
+	for _, a := range policy.Roster {
+		parts = append(parts, a.Name)
+		parts = append(parts, a.Aliases...)
 	}
 	return strings.Join(parts, "|")
 }
@@ -88,17 +62,19 @@ func PolicySpellings() string {
 // CanonicalPolicy maps the user-facing policy spellings (shared with
 // cmd/bowsim) onto the canonical names the spec hash uses.
 func CanonicalPolicy(s string) (string, error) {
-	for _, p := range policyAliases {
-		if s == p.Canonical {
-			return p.Canonical, nil
-		}
-		for _, a := range p.Aliases {
-			if s == a {
-				return p.Canonical, nil
-			}
-		}
+	a, err := lookupPolicy(s)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("simjob: unknown policy %q (%s)", s, PolicySpellings())
+	return a.Name, nil
+}
+
+// lookupPolicy finds the roster row a spelling names.
+func lookupPolicy(s string) (*policy.Arch, error) {
+	if a, ok := policy.Lookup(s); ok {
+		return a, nil
+	}
+	return nil, fmt.Errorf("simjob: unknown policy %q (%s)", s, PolicySpellings())
 }
 
 // JobSpec is one point of the design space: a kernel under one bypass
@@ -108,14 +84,18 @@ func CanonicalPolicy(s string) (string, error) {
 type JobSpec struct {
 	// Bench names a registered benchmark kernel (workloads.Names).
 	Bench string `json:"bench"`
-	// Policy is one of baseline | bow-wt | bow-wb | bow-wr | rfc
-	// (aliases as in cmd/bowsim are accepted and canonicalized).
+	// Policy names a register-file architecture: baseline | bow-wt |
+	// bow-wb | bow-wr | rfc | carfc | ltrf | scrf (aliases as in
+	// cmd/bowsim are accepted and canonicalized; internal/policy holds
+	// the roster).
 	Policy string `json:"policy"`
-	// IW is the instruction-window size (bypassing policies only;
-	// 0 defaults to the paper's 3).
+	// IW is the instruction-window size (the windowed BOW policies
+	// only; 0 defaults to the paper's 3).
 	IW int `json:"iw,omitempty"`
-	// Capacity is the BOC entry count (0 = conservative 4*IW), or the
-	// per-warp entry count for the rfc policy (0 = 6).
+	// Capacity is the buffer's entry count per warp: the BOC of the BOW
+	// policies (0 = conservative 4*IW), or the cache or operand buffer
+	// of rfc, carfc and ltrf (0 = the policy's default). Policies that
+	// buffer nothing drop it.
 	Capacity int `json:"capacity,omitempty"`
 	// SMs overrides the simulated SM count (0 = 1).
 	SMs int `json:"sms,omitempty"`
@@ -169,80 +149,25 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	if _, err := workloads.ByName(s.Bench); err != nil {
 		return s, err
 	}
-	p, err := CanonicalPolicy(s.Policy)
+	a, err := lookupPolicy(s.Policy)
 	if err != nil {
 		return s, err
 	}
-	s.Policy = p
-	//bow:policyexhaustive
-	switch p {
-	case PolicyBaseline:
-		s.IW, s.Capacity = 0, 0
-		if s.BeyondWindow || s.NoExtend {
-			return s, fmt.Errorf("simjob: BeyondWindow/NoExtend need a bypassing policy")
-		}
-	case PolicyRFC:
-		// The RFC comparator has no nominal window; only the per-warp
-		// entry count matters.
+	s.Policy = a.Name
+	// Knobs the architecture does not take: the window size is dropped,
+	// a BOW ablation or the reorder pass is an error (a knob that hashes
+	// into the spec but does nothing would split the cache for no
+	// reason).
+	if !a.Window {
 		s.IW = 0
-		if s.Capacity == 0 {
-			s.Capacity = rfc.DefaultEntriesPerWarp
-		}
-		if s.BeyondWindow || s.NoExtend {
-			return s, fmt.Errorf("simjob: BeyondWindow/NoExtend do not apply to rfc")
-		}
-	case PolicyCARFC:
-		// Compiler-assisted RF cache: capacity-managed like rfc, no
-		// nominal window, no ablations. Reorder would need a window for
-		// its reuse-distance scheduling, which this policy doesn't have.
-		s.IW = 0
-		if s.Capacity == 0 {
-			s.Capacity = carfc.DefaultEntriesPerWarp
-		}
-		if s.BeyondWindow || s.NoExtend {
-			return s, fmt.Errorf("simjob: BeyondWindow/NoExtend do not apply to carfc")
-		}
-		if s.Reorder {
-			return s, fmt.Errorf("simjob: Reorder does not apply to carfc")
-		}
-	case PolicyLTRF:
-		// Latency-tolerant RF: the buffer capacity parametrizes both the
-		// engine and the compiler's interval partition.
-		s.IW = 0
-		if s.Capacity == 0 {
-			s.Capacity = ltrf.DefaultEntriesPerWarp
-		}
-		if s.BeyondWindow || s.NoExtend {
-			return s, fmt.Errorf("simjob: BeyondWindow/NoExtend do not apply to ltrf")
-		}
-		if s.Reorder {
-			return s, fmt.Errorf("simjob: Reorder does not apply to ltrf")
-		}
-	case PolicySCRF:
-		// Statically-compressed RF: baseline timing, no window knobs at
-		// all.
-		s.IW, s.Capacity = 0, 0
-		if s.BeyondWindow || s.NoExtend {
-			return s, fmt.Errorf("simjob: BeyondWindow/NoExtend do not apply to scrf")
-		}
-		if s.Reorder {
-			return s, fmt.Errorf("simjob: Reorder does not apply to scrf")
-		}
-	case PolicyBOWWT, PolicyBOWWB, PolicyBOWWR:
-		if s.IW == 0 {
-			s.IW = 3
-		}
-		if s.Capacity == 0 {
-			s.Capacity = 4 * s.IW
-		}
-	default:
-		// Unreachable today (p came out of CanonicalPolicy), but a ninth
-		// policyAliases entry without a case here used to fall into the
-		// windowed-BOW defaults above and silently simulate the wrong
-		// architecture. Now it is a submission error — and the
-		// policyexhaustive marker makes the missing case a lint failure
-		// before it is ever a runtime one.
-		return s, fmt.Errorf("simjob: policy %q has no normalization case", p)
+	} else if s.IW == 0 {
+		s.IW = policy.DefaultIW
+	}
+	if (s.BeyondWindow || s.NoExtend) && !a.Ablations {
+		return s, fmt.Errorf("simjob: BeyondWindow/NoExtend do not apply to %s", a.Name)
+	}
+	if s.Reorder && !a.Reorder {
+		return s, fmt.Errorf("simjob: Reorder does not apply to %s", a.Name)
 	}
 	if s.SMs == 0 {
 		s.SMs = 1
@@ -260,9 +185,14 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		return s, fmt.Errorf("simjob: MaxCycles %d invalid", s.MaxCycles)
 	}
 	// Validate the derived core config eagerly so bad points fail at
-	// submission, not inside a worker.
-	if _, err := s.coreConfig(); err != nil {
+	// submission, not inside a worker. It also supplies the default
+	// capacity, and drops the capacity of a policy that buffers nothing.
+	cfg, err := a.Config(s.IW, s.Capacity, s.BeyondWindow, s.NoExtend)
+	if err != nil {
 		return s, err
+	}
+	if s.Capacity == 0 || !a.Core.Bypassing() {
+		s.Capacity = cfg.Capacity
 	}
 	return s, nil
 }
@@ -288,58 +218,24 @@ func (s JobSpec) Hash() (string, error) {
 // coreConfig translates the normalized spec into the window engine's
 // configuration.
 func (s JobSpec) coreConfig() (core.Config, error) {
-	var bcfg core.Config
-	//bow:policyexhaustive
-	switch s.Policy {
-	case PolicyBaseline:
-		bcfg = core.Config{Policy: core.PolicyBaseline}
-	case PolicyBOWWT:
-		bcfg = core.Config{Policy: core.PolicyWriteThrough}
-	case PolicyBOWWB:
-		bcfg = core.Config{Policy: core.PolicyWriteBack}
-	case PolicyBOWWR:
-		bcfg = core.Config{Policy: core.PolicyCompilerHints}
-	case PolicyRFC:
-		return rfc.Config(s.Capacity).Normalize()
-	case PolicyCARFC:
-		return carfc.Config(s.Capacity).Normalize()
-	case PolicyLTRF:
-		return ltrf.Config(s.Capacity).Normalize()
-	case PolicySCRF:
-		return scrf.Config().Normalize()
-	default:
-		return bcfg, fmt.Errorf("simjob: unknown policy %q", s.Policy)
+	a, err := lookupPolicy(s.Policy)
+	if err != nil {
+		return core.Config{}, err
 	}
-	if bcfg.Policy.Bypassing() {
-		bcfg.IW = s.IW
-		bcfg.Capacity = s.Capacity
-		bcfg.BeyondWindow = s.BeyondWindow
-		bcfg.NoExtend = s.NoExtend
-	}
-	return bcfg.Normalize()
+	return a.Config(s.IW, s.Capacity, s.BeyondWindow, s.NoExtend)
 }
 
 // DefaultPolicyConfig returns the canonical window configuration a
 // bare spec of the given policy (any accepted spelling) normalizes to:
 // the paper's IW=3 window for the BOW variants, each comparator's
-// sibling-package default capacity otherwise. The prewarm set and the
-// cross-policy experiment derive one design point per architecture
-// through it, so the roster tracks AllPolicies automatically.
-func DefaultPolicyConfig(policy string) (core.Config, error) {
-	p, err := CanonicalPolicy(policy)
+// default capacity otherwise. The prewarm set and the cross-policy
+// experiment derive one design point per architecture through it.
+func DefaultPolicyConfig(name string) (core.Config, error) {
+	a, err := lookupPolicy(name)
 	if err != nil {
 		return core.Config{}, err
 	}
-	s := JobSpec{Policy: p}
-	switch p {
-	case PolicyBOWWT, PolicyBOWWB, PolicyBOWWR:
-		// Normalize's defaults for the windowed policies; the
-		// capacity-managed comparators default inside their Config
-		// constructors.
-		s.IW = 3
-		s.Capacity = 4 * s.IW
-	}
-	return s.coreConfig()
+	return a.DefaultConfig()
 }
 
 // gpuConfig builds the chip configuration: SimDefault with the spec's
@@ -357,63 +253,24 @@ func (s JobSpec) gpuConfig() config.GPU {
 // SpecFromConfig maps a (benchmark, core.Config) pair — the interface
 // internal/experiments speaks — onto a JobSpec. The second return is
 // false when the core config is not representable as a spec (e.g. a
-// hand-built ForwardThroughPort config that is not the rfc comparator),
-// in which case callers fall back to a direct simulation.
+// hand-built carfc without ForwardThroughPort), in which case callers
+// fall back to a direct simulation.
 func SpecFromConfig(bench string, bcfg core.Config, sms int, scheduler string, maxCycles int64) (JobSpec, bool) {
-	s := JobSpec{
-		Bench: bench, SMs: sms, Scheduler: scheduler, MaxCycles: maxCycles,
-	}
-	// The cache-shaped rivals are recognized by round-tripping through
-	// their sibling package's canonical Config — anything hand-built
-	// that deviates (say, carfc without ForwardThroughPort) is not a
-	// spec-expressible design point and falls back to inline simulation.
-	switch bcfg.Policy {
-	case core.PolicyCARFC:
-		ref, err := carfc.Config(bcfg.Capacity).Normalize()
-		if err != nil || ref != bcfg {
-			return JobSpec{}, false
-		}
-		s.Policy, s.Capacity = PolicyCARFC, bcfg.Capacity
-		return s, true
-	case core.PolicyLTRF:
-		ref, err := ltrf.Config(bcfg.Capacity).Normalize()
-		if err != nil || ref != bcfg {
-			return JobSpec{}, false
-		}
-		s.Policy, s.Capacity = PolicyLTRF, bcfg.Capacity
-		return s, true
-	case core.PolicySCRF:
-		if bcfg != (core.Config{Policy: core.PolicySCRF}) {
-			return JobSpec{}, false
-		}
-		s.Policy = PolicySCRF
-		return s, true
-	}
-	if bcfg.ForwardThroughPort {
-		ref, err := rfc.Config(bcfg.Capacity).Normalize()
-		if err != nil || ref != bcfg {
-			return JobSpec{}, false
-		}
-		s.Policy = PolicyRFC
-		s.Capacity = bcfg.Capacity
-		return s, true
-	}
-	switch bcfg.Policy {
-	case core.PolicyBaseline:
-		s.Policy = PolicyBaseline
-		return s, true
-	case core.PolicyWriteThrough:
-		s.Policy = PolicyBOWWT
-	case core.PolicyWriteBack:
-		s.Policy = PolicyBOWWB
-	case core.PolicyCompilerHints:
-		s.Policy = PolicyBOWWR
-	default:
+	a, ok := policy.Of(bcfg)
+	if !ok || !a.Expresses(bcfg) {
 		return JobSpec{}, false
 	}
-	s.IW = bcfg.IW
-	s.Capacity = bcfg.Capacity
-	s.BeyondWindow = bcfg.BeyondWindow
-	s.NoExtend = bcfg.NoExtend
+	s := JobSpec{
+		Bench: bench, Policy: a.Name, SMs: sms, Scheduler: scheduler, MaxCycles: maxCycles,
+	}
+	if a.Window {
+		s.IW = bcfg.IW
+	}
+	if a.Core.Bypassing() {
+		s.Capacity = bcfg.Capacity
+	}
+	if a.Ablations {
+		s.BeyondWindow, s.NoExtend = bcfg.BeyondWindow, bcfg.NoExtend
+	}
 	return s, true
 }

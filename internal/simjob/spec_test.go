@@ -4,12 +4,24 @@ import (
 	"strings"
 	"testing"
 
-	"bow/internal/carfc"
 	"bow/internal/core"
-	"bow/internal/ltrf"
-	"bow/internal/rfc"
-	"bow/internal/scrf"
+	"bow/internal/policy"
 )
+
+// rowConfig is roster architecture name's engine config at the given
+// buffer capacity (0 = the row's default).
+func rowConfig(t *testing.T, name string, capacity int) core.Config {
+	t.Helper()
+	a, ok := policy.Lookup(name)
+	if !ok {
+		t.Fatalf("unknown architecture %s", name)
+	}
+	cfg, err := a.Config(policy.DefaultIW, capacity, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
 
 func TestNormalizeDefaults(t *testing.T) {
 	s, err := JobSpec{Bench: "VECTORADD", Policy: "bow"}.Normalize()
@@ -33,7 +45,8 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Capacity != rfc.DefaultEntriesPerWarp || r.IW != 0 {
+	if r.Capacity != 6 || r.IW != 0 { // the paper's RFC comparison sizing
+
 		t.Errorf("rfc normalization: %+v", r)
 	}
 }
@@ -93,12 +106,12 @@ func TestSpecFromConfigRoundTrip(t *testing.T) {
 		{IW: 4, Capacity: 8, Policy: core.PolicyWriteBack, NoExtend: true},
 		{IW: 3, Capacity: 6, Policy: core.PolicyWriteBack, BeyondWindow: true},
 		{IW: 3, Capacity: 6, Policy: core.PolicyCompilerHints},
-		rfc.Config(rfc.DefaultEntriesPerWarp),
-		carfc.Config(carfc.DefaultEntriesPerWarp),
-		carfc.Config(2),
-		ltrf.Config(ltrf.DefaultEntriesPerWarp),
-		ltrf.Config(3),
-		scrf.Config(),
+		rowConfig(t, PolicyRFC, 0),
+		rowConfig(t, PolicyCARFC, 0),
+		rowConfig(t, PolicyCARFC, 2),
+		rowConfig(t, PolicyLTRF, 0),
+		rowConfig(t, PolicyLTRF, 3),
+		rowConfig(t, PolicySCRF, 0),
 	}
 	for _, bcfg := range cases {
 		norm, err := bcfg.Normalize()
@@ -144,11 +157,11 @@ func TestSpecFromConfigRoundTrip(t *testing.T) {
 // hash identically to one written canonically — the cache key must not
 // depend on how the user spelled the policy.
 func TestPolicyAliasRoundTrip(t *testing.T) {
-	for _, p := range policyAliases {
-		spellings := append([]string{p.Canonical}, p.Aliases...)
-		canonHash, err := JobSpec{Bench: "VECTORADD", Policy: p.Canonical}.Hash()
+	for _, p := range policy.Roster {
+		spellings := append([]string{p.Name}, p.Aliases...)
+		canonHash, err := JobSpec{Bench: "VECTORADD", Policy: p.Name}.Hash()
 		if err != nil {
-			t.Fatalf("%s: %v", p.Canonical, err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
 		for _, sp := range spellings {
 			got, err := CanonicalPolicy(sp)
@@ -156,8 +169,8 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 				t.Errorf("CanonicalPolicy(%q): %v", sp, err)
 				continue
 			}
-			if got != p.Canonical {
-				t.Errorf("CanonicalPolicy(%q) = %q, want %q", sp, got, p.Canonical)
+			if got != p.Name {
+				t.Errorf("CanonicalPolicy(%q) = %q, want %q", sp, got, p.Name)
 			}
 			h, err := JobSpec{Bench: "VECTORADD", Policy: sp}.Hash()
 			if err != nil {
@@ -166,7 +179,7 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 			}
 			if h != canonHash {
 				t.Errorf("spelling %q hashes to %s, canonical %q to %s",
-					sp, h, p.Canonical, canonHash)
+					sp, h, p.Name, canonHash)
 			}
 		}
 	}
@@ -178,8 +191,8 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	for _, p := range policyAliases {
-		for _, sp := range append([]string{p.Canonical}, p.Aliases...) {
+	for _, p := range policy.Roster {
+		for _, sp := range append([]string{p.Name}, p.Aliases...) {
 			if !strings.Contains(err.Error(), sp) {
 				t.Errorf("error %q does not mention spelling %q", err, sp)
 			}
