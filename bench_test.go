@@ -209,19 +209,21 @@ func BenchmarkEngineAdvance(b *testing.B) {
 		stream = append(stream, &prog.Code[i])
 	}
 	eng, err := core.NewEngine(core.Config{IW: 3, Policy: core.PolicyWriteBack},
-		func(uint8, core.Value, core.WriteCause) {})
+		func(uint8, *core.Value, core.WriteCause) {})
 	if err != nil {
 		b.Fatal(err)
 	}
+	var plan core.Plan
+	var v core.Value
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in := stream[i%len(stream)]
-		plan := eng.Advance(in)
+		eng.Advance(in, &plan)
 		for j := 0; j < plan.NNeedRF; j++ {
-			eng.FillFromRF(plan.NeedRF[j], core.Value{}, plan.Seq)
+			eng.FillFromRF(plan.NeedRF[j], &v, plan.Seq)
 		}
 		if d, ok := in.DstReg(); ok {
-			eng.Writeback(d, core.Value{}, in.WBHint, plan.Seq)
+			eng.Writeback(d, &v, in.WBHint, plan.Seq)
 		}
 	}
 }

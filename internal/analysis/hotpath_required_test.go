@@ -7,19 +7,20 @@ import (
 )
 
 // TestHotPathAnnotationsRequired pins the //bow:hotpath coverage of the
-// batched-execution fast paths: the lockstep stepping loop and the
-// copy-on-write memory read path must stay under the hotpathalloc
-// pass. TestRepositoryClean proves annotated functions are clean; this
+// simulator's fast paths: the lockstep stepping loop, the copy-on-write
+// memory read path, and the cycle loop's issue, writeback and window
+// engine calls must stay under the hotpathalloc pass. TestRepositoryClean proves annotated functions are clean; this
 // test proves the annotations themselves cannot be silently dropped —
 // removing one would pass the cleanliness check while losing the
 // guarantee.
 func TestHotPathAnnotationsRequired(t *testing.T) {
 	required := map[string][]string{
-		"bow/internal/gpu": {"(*Device).step", "(*Batch).tick"},
-		"bow/internal/mem": {"(*Memory).lookup", "(*Memory).Read32"},
-		"bow/internal/sm":  {"(*SM).Cycle"},
+		"bow/internal/gpu":  {"(*Device).step", "(*Batch).tick"},
+		"bow/internal/mem":  {"(*Memory).lookup", "(*Memory).Read32"},
+		"bow/internal/sm":   {"(*SM).Cycle", "(*SM).issue", "(*SM).issueInstruction", "(*SM).writeback"},
+		"bow/internal/core": {"(*Engine).Advance", "(*Engine).Writeback"},
 	}
-	pkgs, err := Load(moduleRoot(t), "bow/internal/gpu", "bow/internal/mem", "bow/internal/sm")
+	pkgs, err := Load(moduleRoot(t), "bow/internal/gpu", "bow/internal/mem", "bow/internal/sm", "bow/internal/core")
 	if err != nil {
 		t.Fatalf("loading packages: %v", err)
 	}
@@ -40,7 +41,7 @@ func TestHotPathAnnotationsRequired(t *testing.T) {
 		}
 		for _, name := range want {
 			if !annotated[name] {
-				t.Errorf("%s: %s must carry //bow:hotpath (lockstep/CoW fast path)", pkg.Path, name)
+				t.Errorf("%s: %s must carry //bow:hotpath (simulator fast path)", pkg.Path, name)
 			}
 		}
 		delete(required, pkg.Path)

@@ -21,15 +21,23 @@ func allocWorkload(eng *Engine) {
 		{Op: isa.OpXor, PredReg: isa.PredTrue, HasDst: true, Dst: 1,
 			Srcs: [3]isa.Operand{isa.Reg(7), isa.Reg(8)}, NSrc: 2},
 	}
-	var v Value
+	v, plan := &allocScratch.v, &allocScratch.plan
 	for i := 0; i < 32; i++ {
 		in := ins[i%len(ins)]
-		plan := eng.Advance(in)
+		eng.Advance(in, plan)
 		for j := 0; j < plan.NNeedRF; j++ {
 			eng.FillFromRF(plan.NeedRF[j], v, plan.Seq)
 		}
 		eng.Writeback(in.Dst, v, in.WBHint, plan.Seq)
 	}
+}
+
+// allocScratch is allocWorkload's operand value and plan. Values reach
+// the write sink by pointer, so a local would escape and charge every
+// run a heap allocation the engine itself never makes.
+var allocScratch struct {
+	v    Value
+	plan Plan
 }
 
 // TestSteadyStateAllocs pins the hot-path allocation fix: after the
@@ -42,7 +50,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		PolicyWriteBack, PolicyCompilerHints} {
 		for _, cap := range []int{2, 12} { // force capacity evictions, then roomy
 			eng, err := NewEngine(Config{IW: 3, Capacity: cap, Policy: pol},
-				func(uint8, Value, WriteCause) {})
+				func(uint8, *Value, WriteCause) {})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +68,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // not leak and force fresh heap allocations.
 func TestSteadyStateAllocsDrain(t *testing.T) {
 	eng, err := NewEngine(Config{IW: 3, Policy: PolicyWriteBack},
-		func(uint8, Value, WriteCause) {})
+		func(uint8, *Value, WriteCause) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,17 @@
 //
 // The engine is purely a bookkeeping/value structure with no notion of
 // cycles. The timing pipeline (internal/sm) drives it with three calls
-// per dynamic instruction:
+// per dynamic instruction, passing warp-wide values by pointer (a Value
+// is 128 bytes and these calls sit on the simulator's hottest path):
 //
-//	plan := e.Advance(inst)        // at issue: slide window, plan reads
-//	e.FillFromRF(reg, val, plan)   // when an RF bank read completes
-//	e.Writeback(inst, reg, value)  // when the result is produced
+//	e.Advance(in, &plan)                     // at issue: slide window, plan reads into caller-owned plan
+//	e.FillFromRF(reg, &val, plan.Seq)        // when an RF bank read completes
+//	e.Writeback(reg, &val, in.WBHint, seq)   // when the result is produced
 //
-// Trace-level analyses (Fig. 3, Table I) use Replay, which performs the
-// three steps back-to-back with no timing in between.
+// The engine copies what it keeps; the pointers are borrowed for the
+// duration of the call. Trace-level analyses (Fig. 3, Table I) use
+// Replay, which performs the three steps back-to-back with no timing in
+// between.
 package core
 
 import (
@@ -172,8 +175,10 @@ func (c WriteCause) String() string {
 
 // RFWriteSink receives the register-file writes the engine decides to
 // perform. The timing pipeline turns these into bank requests; trace
-// replays just count them.
-type RFWriteSink func(reg uint8, val Value, cause WriteCause)
+// replays just count them. val points into engine storage (or the
+// caller's writeback value) and is valid only for the call: a sink that
+// keeps the value copies it.
+type RFWriteSink func(reg uint8, val *Value, cause WriteCause)
 
 // Config parametrizes an Engine.
 type Config struct {
@@ -348,9 +353,11 @@ func (s *Stats) WriteBypassFrac() float64 {
 	return 0
 }
 
-// Plan is the operand-collection plan returned by Advance: which source
+// Plan is the operand-collection plan Advance fills: which source
 // operands were forwarded from the window and which must be fetched from
-// the register-file banks.
+// the register-file banks. The caller owns it and reuses it across
+// instructions; Advance resets only the counts, so entries past them
+// are stale.
 type Plan struct {
 	Seq int64 // sequence number assigned to the instruction
 
@@ -540,30 +547,34 @@ func (e *Engine) detach(en *entry) {
 	e.release(en)
 }
 
-// Lookup returns the buffered value of reg, if present. Used by the
-// functional executor to obtain the *effective* architectural value
-// (window copy is always newer than the RF copy when dirty). Pending
-// entries hold no valid value yet and do not count.
+// Lookup returns the buffered value of reg, or nil when the window
+// holds none. Used by the functional executor to obtain the *effective*
+// architectural value (window copy is always newer than the RF copy
+// when dirty). Pending entries hold no valid value yet and do not
+// count. The pointer aliases the entry and is valid until the engine's
+// next call; callers copy what they keep.
 //
 //bow:hotpath
-func (e *Engine) Lookup(reg uint8) (Value, bool) {
+func (e *Engine) Lookup(reg uint8) *Value {
 	if en := e.byReg[reg]; en != nil && !en.pending {
-		return en.val, true
+		return &en.val
 	}
-	return Value{}, false
+	return nil
 }
 
 // Advance slides the window over the next dynamic instruction of the
 // warp: values that fall out of the window are evicted (writing dirty
 // survivors to the RF through the sink), the instruction's source
 // operands are looked up for forwarding, and a pending older write to
-// the same destination is consolidated.
+// the same destination is consolidated. The plan is written into p,
+// whose counts are reset first.
 //
 //bow:hotpath
-func (e *Engine) Advance(in *isa.Instruction) Plan {
+func (e *Engine) Advance(in *isa.Instruction, p *Plan) {
 	e.seq++
 	e.stats.Instructions++
-	p := Plan{Seq: e.seq}
+	p.Seq = e.seq
+	p.NBypassed, p.NNeedRF, p.NPendingRegs = 0, 0, 0
 
 	if !e.tr.buffers {
 		regs, n := in.UniqueSrcRegs()
@@ -584,7 +595,7 @@ func (e *Engine) Advance(in *isa.Instruction) Plan {
 				e.stats.CompressedWrites++
 			}
 		}
-		return p
+		return
 	}
 
 	// 1. Window slide. BOW policies evict entries whose last access is
@@ -661,7 +672,6 @@ func (e *Engine) Advance(in *isa.Instruction) Plan {
 			en.cancelWB = true
 		}
 	}
-	return p
 }
 
 // evictExpired removes entries that slid out of the instruction window,
@@ -698,7 +708,7 @@ func (e *Engine) evict(en *entry, capacity bool) {
 	if capacity {
 		// Early eviction must preserve the value even if the compiler
 		// tagged it boc-only: its remaining reuses haven't happened yet.
-		e.emitRF(r, en.val, CauseCapacityEvict)
+		e.emitRF(r, &en.val, CauseCapacityEvict)
 		e.stats.CapacityEvicts++
 		e.detach(en)
 		return
@@ -709,7 +719,7 @@ func (e *Engine) evict(en *entry, capacity bool) {
 		e.detach(en)
 		return
 	}
-	e.emitRF(r, en.val, CauseWindowEvict)
+	e.emitRF(r, &en.val, CauseWindowEvict)
 	e.detach(en)
 }
 
@@ -743,7 +753,7 @@ func (e *Engine) drainInterval() {
 	for _, en := range e.live {
 		e.byReg[en.reg] = nil
 		if en.dirty && !en.cancelWB {
-			e.emitRF(en.reg, en.val, CauseIntervalDrain)
+			e.emitRF(en.reg, &en.val, CauseIntervalDrain)
 		}
 		e.release(en)
 	}
@@ -751,7 +761,7 @@ func (e *Engine) drainInterval() {
 }
 
 //bow:hotpath
-func (e *Engine) emitRF(r uint8, v Value, cause WriteCause) {
+func (e *Engine) emitRF(r uint8, v *Value, cause WriteCause) {
 	e.stats.RFWrites++
 	e.stats.RFWritesByReg[r]++
 	e.stats.RFWriteCauses[cause]++
@@ -765,16 +775,17 @@ func (e *Engine) emitRF(r uint8, v Value, cause WriteCause) {
 // If the slot was already evicted (window slide or capacity) the fill
 // is dropped — its waiting readers receive the value through the
 // caller's own plumbing, and re-inserting here would resurrect a value
-// the window semantics already aged out.
+// the window semantics already aged out. The fill copies *val and
+// evicts nothing.
 //
 //bow:hotpath
-func (e *Engine) FillFromRF(reg uint8, val Value, seq int64) {
+func (e *Engine) FillFromRF(reg uint8, val *Value, seq int64) {
 	if !e.tr.buffers {
 		return
 	}
 	if en := e.byReg[reg]; en != nil {
 		if en.pending {
-			en.val = val
+			en.val = *val
 			en.pending = false
 		}
 		if seq > en.lastAccess {
@@ -785,11 +796,11 @@ func (e *Engine) FillFromRF(reg uint8, val Value, seq int64) {
 
 // Writeback delivers the result of the instruction issued at seq. The
 // caller passes the full warp-wide merged value (predication merges are
-// the functional executor's job). Returns true when the value was
-// buffered in the BOC.
+// the functional executor's job); the engine copies what it buffers.
+// Returns true when the value was buffered in the BOC.
 //
 //bow:hotpath
-func (e *Engine) Writeback(reg uint8, val Value, hint isa.WritebackHint, seq int64) bool {
+func (e *Engine) Writeback(reg uint8, val *Value, hint isa.WritebackHint, seq int64) bool {
 	if !e.tr.buffers {
 		e.emitRF(reg, val, CauseWriteThrough)
 		return false
@@ -817,9 +828,9 @@ func (e *Engine) Writeback(reg uint8, val Value, hint isa.WritebackHint, seq int
 // install creates or refreshes the window entry for reg.
 //
 //bow:hotpath
-func (e *Engine) install(reg uint8, val Value, dirty bool, hint isa.WritebackHint, seq int64) {
+func (e *Engine) install(reg uint8, val *Value, dirty bool, hint isa.WritebackHint, seq int64) {
 	if en := e.byReg[reg]; en != nil {
-		en.val = val
+		en.val = *val
 		en.dirty = dirty
 		en.hint = hint
 		en.cancelWB = false
@@ -831,7 +842,7 @@ func (e *Engine) install(reg uint8, val Value, dirty bool, hint isa.WritebackHin
 		return
 	}
 	en := e.allocEntry()
-	en.val = val
+	en.val = *val
 	en.lastAccess = seq
 	en.dirty = dirty
 	en.hint = hint
@@ -879,7 +890,7 @@ func (e *Engine) DrainToRF() {
 	for _, en := range e.live {
 		e.byReg[en.reg] = nil
 		if en.dirty && !en.cancelWB {
-			e.emitRF(en.reg, en.val, CauseWindowEvict)
+			e.emitRF(en.reg, &en.val, CauseWindowEvict)
 		}
 		e.release(en)
 	}

@@ -296,23 +296,23 @@ func TestConfigNormalize(t *testing.T) {
 // TestLookupEffectiveValue: the window copy is the architecturally
 // current value while dirty.
 func TestLookupEffectiveValue(t *testing.T) {
-	eng, err := NewEngine(Config{IW: 3, Policy: PolicyWriteBack}, func(uint8, Value, WriteCause) {})
+	eng, err := NewEngine(Config{IW: 3, Policy: PolicyWriteBack}, func(uint8, *Value, WriteCause) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: 5, PredReg: isa.PredTrue,
 		Srcs: [3]isa.Operand{isa.Imm(9)}, NSrc: 1}
-	plan := eng.Advance(in)
+	var plan Plan
+	eng.Advance(in, &plan)
 	var v Value
 	for i := range v {
 		v[i] = 42
 	}
-	eng.Writeback(5, v, isa.WBBoth, plan.Seq)
-	got, ok := eng.Lookup(5)
-	if !ok || got[0] != 42 {
-		t.Fatalf("Lookup(5) = %v, %v; want 42s", got[0], ok)
+	eng.Writeback(5, &v, isa.WBBoth, plan.Seq)
+	if got := eng.Lookup(5); got == nil || got[0] != 42 {
+		t.Fatalf("Lookup(5) = %v; want 42s", got)
 	}
-	if _, ok := eng.Lookup(6); ok {
+	if eng.Lookup(6) != nil {
 		t.Error("Lookup(6) should miss")
 	}
 }
@@ -321,13 +321,14 @@ func TestLookupEffectiveValue(t *testing.T) {
 func TestDrainToRF(t *testing.T) {
 	writes := 0
 	eng, err := NewEngine(Config{IW: 3, Policy: PolicyWriteBack},
-		func(uint8, Value, WriteCause) { writes++ })
+		func(uint8, *Value, WriteCause) { writes++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: 5, PredReg: isa.PredTrue, NSrc: 0}
-	plan := eng.Advance(in)
-	eng.Writeback(5, Value{}, isa.WBBoth, plan.Seq)
+	var plan Plan
+	eng.Advance(in, &plan)
+	eng.Writeback(5, &Value{}, isa.WBBoth, plan.Seq)
 	eng.DrainToRF()
 	if writes != 1 {
 		t.Errorf("drain writes = %d, want 1", writes)
@@ -343,7 +344,7 @@ func TestDrainToRF(t *testing.T) {
 // drains dirty values to the RF when the prefetch interval changes.
 func TestRivalEngineBehaviours(t *testing.T) {
 	var causes []WriteCause
-	sink := func(_ uint8, _ Value, c WriteCause) { causes = append(causes, c) }
+	sink := func(_ uint8, _ *Value, c WriteCause) { causes = append(causes, c) }
 	def := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: 1, PredReg: isa.PredTrue}
 	use := &isa.Instruction{Op: isa.OpAdd, HasDst: true, Dst: 2, NSrc: 2, PredReg: isa.PredTrue}
 	use.Srcs[0], use.Srcs[1] = isa.Reg(1), isa.Imm(1)
@@ -353,11 +354,13 @@ func TestRivalEngineBehaviours(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	carfc.Writeback(1, Value{}, isa.WBBoth, carfc.Advance(def).Seq)
-	if plan := carfc.Advance(use); plan.NBypassed != 1 {
+	var plan Plan
+	carfc.Advance(def, &plan)
+	carfc.Writeback(1, &Value{}, isa.WBBoth, plan.Seq)
+	if carfc.Advance(use, &plan); plan.NBypassed != 1 {
 		t.Fatalf("carfc: last read of r1 not forwarded: %+v", plan)
 	}
-	if _, ok := carfc.Lookup(1); ok {
+	if carfc.Lookup(1) != nil {
 		t.Error("carfc: last-use read left r1 buffered")
 	}
 	if st := carfc.Stats(); st.LastUseFrees != 1 || st.DroppedTransient != 1 || st.RFWrites != 0 {
@@ -369,10 +372,11 @@ func TestRivalEngineBehaviours(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ltrf.Writeback(1, Value{}, isa.WBBoth, ltrf.Advance(def).Seq)
+	ltrf.Advance(def, &plan)
+	ltrf.Writeback(1, &Value{}, isa.WBBoth, plan.Seq)
 	next := *def
 	next.Dst, next.Interval = 3, 1
-	ltrf.Advance(&next)
+	ltrf.Advance(&next, &plan)
 	if st := ltrf.Stats(); st.IntervalDrains != 1 || len(causes) != 1 || causes[0] != CauseIntervalDrain {
 		t.Errorf("ltrf: drains %d, RF writes %v; want one interval drain writing r1", st.IntervalDrains, causes)
 	}

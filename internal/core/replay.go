@@ -12,17 +12,19 @@ import "bow/internal/isa"
 // unrolled by execution or by the caller). Values are irrelevant for
 // counting, so zeroes flow through.
 func Replay(stream []*isa.Instruction, cfg Config) (Stats, error) {
-	eng, err := NewEngine(cfg, func(uint8, Value, WriteCause) {})
+	eng, err := NewEngine(cfg, func(uint8, *Value, WriteCause) {})
 	if err != nil {
 		return Stats{}, err
 	}
+	var plan Plan
+	var zero Value
 	for _, in := range stream {
-		plan := eng.Advance(in)
+		eng.Advance(in, &plan)
 		for i := 0; i < plan.NNeedRF; i++ {
-			eng.FillFromRF(plan.NeedRF[i], Value{}, plan.Seq)
+			eng.FillFromRF(plan.NeedRF[i], &zero, plan.Seq)
 		}
 		if d, ok := in.DstReg(); ok {
-			eng.Writeback(d, Value{}, in.WBHint, plan.Seq)
+			eng.Writeback(d, &zero, in.WBHint, plan.Seq)
 		}
 	}
 	eng.Flush()
@@ -34,18 +36,20 @@ func Replay(stream []*isa.Instruction, cfg Config) (Stats, error) {
 // histogram occupancy -> instruction count. This feeds the Fig. 9
 // reproduction.
 func ReplayOccupancy(stream []*isa.Instruction, cfg Config) (Stats, map[int]int64, error) {
-	eng, err := NewEngine(cfg, func(uint8, Value, WriteCause) {})
+	eng, err := NewEngine(cfg, func(uint8, *Value, WriteCause) {})
 	if err != nil {
 		return Stats{}, nil, err
 	}
 	occ := make(map[int]int64)
+	var plan Plan
+	var zero Value
 	for _, in := range stream {
-		plan := eng.Advance(in)
+		eng.Advance(in, &plan)
 		for i := 0; i < plan.NNeedRF; i++ {
-			eng.FillFromRF(plan.NeedRF[i], Value{}, plan.Seq)
+			eng.FillFromRF(plan.NeedRF[i], &zero, plan.Seq)
 		}
 		if d, ok := in.DstReg(); ok {
-			eng.Writeback(d, Value{}, in.WBHint, plan.Seq)
+			eng.Writeback(d, &zero, in.WBHint, plan.Seq)
 		}
 		occ[eng.Occupancy()]++
 	}

@@ -137,24 +137,28 @@ func Eval(in *isa.Instruction, srcs *[isa.MaxSrcOperands]core.Value, predSrc uin
 	return predOut, nil
 }
 
-// Broadcast expands a scalar to a warp-wide value.
-func Broadcast(v uint32) core.Value {
-	var out core.Value
+// Broadcast expands a scalar to a warp-wide value, written into *out.
+func Broadcast(out *core.Value, v uint32) {
 	for i := range out {
 		out[i] = v
 	}
-	return out
 }
 
-// Merge overwrites the lanes of old set in mask with the corresponding
-// lanes of new, producing the architecturally merged destination value
-// of a predicated or divergent write.
-func Merge(old, new core.Value, mask uint32) core.Value {
-	out := old
+// Merge turns *result into the architecturally merged destination value
+// of a predicated or divergent write, in place: lanes set in mask keep
+// the new result, the rest take the old destination value from *old.
+// A full mask (the common, convergent case) touches nothing.
+func Merge(result, old *core.Value, mask uint32) {
+	switch mask {
+	case 1<<isa.WarpSize - 1:
+		return
+	case 0:
+		*result = *old
+		return
+	}
 	for lane := 0; lane < isa.WarpSize; lane++ {
-		if mask&(1<<uint(lane)) != 0 {
-			out[lane] = new[lane]
+		if mask&(1<<uint(lane)) == 0 {
+			result[lane] = old[lane]
 		}
 	}
-	return out
 }

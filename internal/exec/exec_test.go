@@ -11,10 +11,17 @@ import (
 
 const allLanes = 0xFFFFFFFF
 
+// bcast is Broadcast as a value, for building operand tables.
+func bcast(v uint32) core.Value {
+	var out core.Value
+	Broadcast(&out, v)
+	return out
+}
+
 func evalOne(t *testing.T, op isa.Opcode, a, b, c uint32) uint32 {
 	t.Helper()
 	in := &isa.Instruction{Op: op, HasDst: true, Dst: 1, PredReg: isa.PredTrue, NSrc: 3}
-	srcs := [isa.MaxSrcOperands]core.Value{Broadcast(a), Broadcast(b), Broadcast(c)}
+	srcs := [isa.MaxSrcOperands]core.Value{bcast(a), bcast(b), bcast(c)}
 	out, _, err := evalV(in, srcs, 0, allLanes)
 	if err != nil {
 		t.Fatalf("%v: %v", op, err)
@@ -102,7 +109,7 @@ func TestSetpAndSel(t *testing.T) {
 	}
 
 	sel := &isa.Instruction{Op: isa.OpSel, HasDst: true, Dst: 1, PredReg: isa.PredTrue, NSrc: 3}
-	out, _, err := evalV(sel, [isa.MaxSrcOperands]core.Value{Broadcast(10), Broadcast(20)}, pred, allLanes)
+	out, _, err := evalV(sel, [isa.MaxSrcOperands]core.Value{bcast(10), bcast(20)}, pred, allLanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestSetpAllComparisons(t *testing.T) {
 	mk := func(cmp isa.CmpOp, a, b uint32) bool {
 		in := &isa.Instruction{Op: isa.OpSetp, Cmp: cmp, HasDstPred: true,
 			PredReg: isa.PredTrue, NSrc: 2}
-		_, pred, err := evalV(in, [isa.MaxSrcOperands]core.Value{Broadcast(a), Broadcast(b)}, 0, 1)
+		_, pred, err := evalV(in, [isa.MaxSrcOperands]core.Value{bcast(a), bcast(b)}, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +148,7 @@ func TestSetpAllComparisons(t *testing.T) {
 
 func TestInactiveLanesUntouched(t *testing.T) {
 	in := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: 1, PredReg: isa.PredTrue, NSrc: 1}
-	out, _, err := evalV(in, [isa.MaxSrcOperands]core.Value{Broadcast(9)}, 0, 0x1)
+	out, _, err := evalV(in, [isa.MaxSrcOperands]core.Value{bcast(9)}, 0, 0x1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,20 +165,27 @@ func TestEvalRejectsNonALU(t *testing.T) {
 }
 
 func TestMerge(t *testing.T) {
-	old := Broadcast(1)
-	new_ := Broadcast(2)
-	m := Merge(old, new_, 0x3)
+	old := bcast(1)
+	m := bcast(2)
+	Merge(&m, &old, 0x3)
 	if m[0] != 2 || m[1] != 2 || m[2] != 1 {
 		t.Errorf("merge lanes wrong: %v", m[:3])
 	}
+	// The full- and empty-mask fast paths.
+	full, empty := bcast(2), bcast(2)
+	Merge(&full, &old, allLanes)
+	Merge(&empty, &old, 0)
+	if full != bcast(2) || empty != old {
+		t.Errorf("fast paths wrong: full %v, empty %v", full[:2], empty[:2])
+	}
 }
 
-// Property: Merge(a, b, full) == b, Merge(a, b, 0) == a, and merging is
-// lane-local.
+// Property: merging result b over old a keeps b under a full mask, a
+// under an empty one, and is lane-local in between.
 func TestMergeProperty(t *testing.T) {
 	f := func(a, b uint32, mask uint32) bool {
-		va, vb := Broadcast(a), Broadcast(b)
-		m := Merge(va, vb, mask)
+		va, m := bcast(a), bcast(b)
+		Merge(&m, &va, mask)
 		for lane := 0; lane < isa.WarpSize; lane++ {
 			want := a
 			if mask&(1<<uint(lane)) != 0 {
@@ -192,7 +206,7 @@ func TestMergeProperty(t *testing.T) {
 func TestMadProperty(t *testing.T) {
 	f := func(a, b, c uint32) bool {
 		in := &isa.Instruction{Op: isa.OpMad, HasDst: true, Dst: 1, PredReg: isa.PredTrue, NSrc: 3}
-		out, _, err := evalV(in, [isa.MaxSrcOperands]core.Value{Broadcast(a), Broadcast(b), Broadcast(c)}, 0, 1)
+		out, _, err := evalV(in, [isa.MaxSrcOperands]core.Value{bcast(a), bcast(b), bcast(c)}, 0, 1)
 		return err == nil && out[0] == a*b+c
 	}
 	if err := quick.Check(f, nil); err != nil {

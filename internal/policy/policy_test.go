@@ -144,19 +144,20 @@ func TestCapacityRowsNeverWindowEvict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := core.NewEngine(cfg, func(uint8, core.Value, core.WriteCause) {})
+			eng, err := core.NewEngine(cfg, func(uint8, *core.Value, core.WriteCause) {})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Touch 4 distinct registers, then 1000 unrelated instructions.
+			var plan core.Plan
 			for r := uint8(1); r <= 4; r++ {
 				in := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: r, PredReg: isa.PredTrue}
-				plan := eng.Advance(in)
-				eng.Writeback(r, core.Value{}, isa.WBBoth, plan.Seq)
+				eng.Advance(in, &plan)
+				eng.Writeback(r, &core.Value{}, isa.WBBoth, plan.Seq)
 			}
 			nop := &isa.Instruction{Op: isa.OpNop, PredReg: isa.PredTrue}
 			for i := 0; i < 1000; i++ {
-				eng.Advance(nop)
+				eng.Advance(nop, &plan)
 			}
 			if eng.Occupancy() != 4 {
 				t.Errorf("occupancy = %d, want 4 (no window eviction)", eng.Occupancy())
@@ -180,22 +181,23 @@ func TestCapacityRowsSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := core.NewEngine(cfg, func(uint8, core.Value, core.WriteCause) {})
+			eng, err := core.NewEngine(cfg, func(uint8, *core.Value, core.WriteCause) {})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var v core.Value
+			var plan core.Plan
 			in := &isa.Instruction{Op: isa.OpAdd, PredReg: isa.PredTrue, HasDst: true, NSrc: 2}
 			run := func() {
 				for i := 0; i < 64; i++ {
 					in.Dst = uint8(i % 16)
 					in.Srcs[0] = isa.Reg(uint8((i + 5) % 16))
 					in.Srcs[1] = isa.Reg(uint8((i + 9) % 16))
-					plan := eng.Advance(in)
+					eng.Advance(in, &plan)
 					for j := 0; j < plan.NNeedRF; j++ {
-						eng.FillFromRF(plan.NeedRF[j], v, plan.Seq)
+						eng.FillFromRF(plan.NeedRF[j], &v, plan.Seq)
 					}
-					eng.Writeback(in.Dst, v, in.WBHint, plan.Seq)
+					eng.Writeback(in.Dst, &v, in.WBHint, plan.Seq)
 				}
 			}
 			run()

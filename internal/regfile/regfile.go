@@ -338,14 +338,15 @@ func (f *File) EnqueueReadSink(warp int, reg uint8, sink ReadSink) {
 	f.markBusy(b)
 }
 
-// EnqueueWrite queues a write of val to (warp, reg).
+// EnqueueWrite queues a write of *val to (warp, reg), copying the
+// value into the bank's ring slot.
 //
 //bow:hotpath
-func (f *File) EnqueueWrite(warp int, reg uint8, val core.Value) {
+func (f *File) EnqueueWrite(warp int, reg uint8, val *core.Value) {
 	b := f.Bank(warp, reg)
 	sl := f.banks[b].writes.pushSlot()
 	sl.warp, sl.reg, sl.queued = int32(warp), reg, f.cycle
-	sl.val = val
+	sl.val = *val
 	f.markBusy(b)
 }
 
@@ -445,9 +446,10 @@ func (f *File) cycleBank(b int) {
 }
 
 // Peek returns the stored value without timing effects (functional/oracle
-// access).
-func (f *File) Peek(warp int, reg uint8) core.Value { return f.vals[warp][reg] }
+// access). The pointer aliases the register's storage: it reflects
+// later Poke calls and served writes, so callers copy what they keep.
+func (f *File) Peek(warp int, reg uint8) *core.Value { return &f.vals[warp][reg] }
 
-// Poke stores a value without timing effects (initialization, direct
+// Poke stores *val without timing effects (initialization, direct
 // functional writes).
-func (f *File) Poke(warp int, reg uint8, val core.Value) { f.vals[warp][reg] = val }
+func (f *File) Poke(warp int, reg uint8, val *core.Value) { f.vals[warp][reg] = *val }

@@ -15,12 +15,12 @@ func mkFile(t *testing.T, lat int) *File {
 	return f
 }
 
-func val(x uint32) core.Value {
+func val(x uint32) *core.Value {
 	var v core.Value
 	for i := range v {
 		v[i] = x
 	}
-	return v
+	return &v
 }
 
 func TestNewValidation(t *testing.T) {
@@ -177,7 +177,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 	for w := 0; w < 4; w++ {
 		for r := 0; r < 8; r++ {
-			if recycled.Peek(w, uint8(r)) != (core.Value{}) {
+			if *recycled.Peek(w, uint8(r)) != (core.Value{}) {
 				t.Fatalf("register w%d r%d nonzero after reset", w, r)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"bow/internal/workloads"
 )
 
 // loopDiffPolicies is every policy family the cycle loop serves; the
@@ -13,15 +15,17 @@ import (
 var loopDiffPolicies = AllPolicies()
 
 // TestLoopDifferential runs real workloads under the optimized cycle
-// loop and the in-tree reference loop (the seed's map calendar and
-// scan-everything dispatch) and demands a bit-identical gpu.Result:
-// cycle count, every pipeline/RF/engine/energy counter, and every
-// histogram bucket. This is the contract the timing-wheel + active-set
-// rewrite is held to — same reports, only faster.
+// loop and the in-tree reference loop (the seed's map calendar,
+// scan-everything dispatch and from-scratch issue scan) and demands a
+// bit-identical gpu.Result: cycle count, every pipeline/RF/engine/energy
+// counter, and every histogram bucket. This is the contract the
+// timing-wheel, active-set and issue-state-cache rewrites are held to —
+// same reports, only faster. The reference scan is the issue cache's
+// only real-kernel oracle, so the full suite runs every workload.
 func TestLoopDifferential(t *testing.T) {
-	benches := []string{"VECTORADD", "LIB", "SAD"}
+	benches := workloads.Names()
 	if testing.Short() {
-		benches = benches[:1]
+		benches = []string{"VECTORADD"}
 	}
 	for _, bench := range benches {
 		for _, policy := range loopDiffPolicies {

@@ -285,10 +285,10 @@ func (s *SM) apply(ev *event) {
 			old := w.preds[in.DstPred]
 			w.preds[in.DstPred] = (old &^ ev.mask) | (ev.predOut & ev.mask)
 		}
-		s.writeback(f, ev.result, ev.mask)
+		s.writeback(f, &ev.result, ev.mask)
 	case evMem:
 		if ev.isLoad {
-			s.writeback(ev.f, ev.result, ev.mask)
+			s.writeback(ev.f, &ev.result, ev.mask)
 		} else {
 			s.completeNoDest(ev.f)
 		}
@@ -299,6 +299,7 @@ func (s *SM) apply(ev *event) {
 		w := f.warp
 		w.exitLanes(ev.mask)
 		w.stalled = false
+		s.refreshIssue(w)
 		s.completeNoDest(f)
 		if w.top() == nil {
 			s.warpExited(w)
@@ -311,7 +312,7 @@ func (s *SM) apply(ev *event) {
 		s.completeNoDest(ev.f)
 	case evDelivery:
 		f := ev.f
-		f.pushDelivery(f.slotMask(ev.reg), ev.result)
+		f.pushDelivery(f.slotMask(ev.reg), &ev.result)
 	case evWarpExit:
 		s.warpExited(ev.w)
 	}

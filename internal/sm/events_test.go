@@ -121,12 +121,16 @@ func TestReadyListOrder(t *testing.T) {
 // must nil the vacated tail entry so the dispatched record doesn't
 // linger behind len() and keep its operand values live.
 func TestRemoveCollectorClearsTail(t *testing.T) {
+	s := &SM{issueState: make([]uint8, 1), busyCollectors: 2}
 	w := &warpCtx{}
-	f1, f2 := &inflight{}, &inflight{}
+	f1, f2 := &inflight{warp: w}, &inflight{warp: w}
 	w.collectors = append(w.collectors, f1, f2)
-	removeCollector(w, f1)
+	s.removeCollector(f1)
 	if len(w.collectors) != 1 || w.collectors[0] != f2 {
 		t.Fatalf("collectors = %v", w.collectors)
+	}
+	if s.busyCollectors != 1 {
+		t.Errorf("busy collectors = %d, want 1", s.busyCollectors)
 	}
 	if tail := w.collectors[:2][1]; tail != nil {
 		t.Error("vacated tail slot still references the removed record")

@@ -31,8 +31,7 @@ func (s *SM) dispatch() {
 		}
 		f.dispatchCycle = s.cycle
 		s.readyRemove(f)
-		removeCollector(f.warp, f)
-		s.busyCollectors--
+		s.removeCollector(f)
 		if err := s.execute(f); err != nil {
 			s.execFault(err, f)
 		}
@@ -80,8 +79,7 @@ func (s *SM) dispatchRef() {
 			continue
 		}
 		f.dispatchCycle = s.cycle
-		removeCollector(f.warp, f)
-		s.busyCollectors--
+		s.removeCollector(f)
 		if err := s.execute(f); err != nil {
 			s.execFault(err, f)
 		}
@@ -92,18 +90,56 @@ func (s *SM) dispatchRef() {
 	s.refScratch = ready[:0]
 }
 
-// removeCollector frees the operand-collector slot of a dispatched
-// instruction, preserving issue order of the rest. The vacated tail
-// slot is nilled so the record is freelist-eligible the moment it
-// completes — a stale tail pointer would keep it (and its operand
-// values) live.
-func removeCollector(w *warpCtx, f *inflight) {
+// issueRef is the reference loop's issue stage: every scheduled warp is
+// re-evaluated from scratch each cycle, as in the seed implementation.
+// It is the oracle the cached scan in issue is checked against.
+func (s *SM) issueRef() {
+	for _, sched := range s.scheds {
+		issued := 0
+		for _, wid := range sched.Order(s.canIssue) {
+			if issued >= s.gcfg.IssuePerSched {
+				break
+			}
+			w := s.warps[wid]
+			if !s.canIssueWarp(w) {
+				continue
+			}
+			t := w.top()
+			if t.pc >= len(s.kernel.Program.Code) {
+				// Fell off the end: treat as exit.
+				w.exitLanes(t.mask)
+				if w.top() == nil {
+					s.warpExited(w)
+				}
+				continue
+			}
+			in := &s.kernel.Program.Code[t.pc]
+			if !s.sb.CanIssue(wid, in) {
+				s.st.ScoreboardStalls++
+				continue
+			}
+			s.issueInstruction(w, t, in)
+			sched.Issued(wid)
+			issued++
+		}
+	}
+}
+
+// removeCollector frees the operand-collector unit of a dispatched
+// instruction, back to its warp and to the SM's pool, preserving issue
+// order of the warp's rest. The vacated tail slot is nilled so the
+// record is freelist-eligible the moment it completes — a stale tail
+// pointer would keep it (and its operand values) live.
+func (s *SM) removeCollector(f *inflight) {
+	w := f.warp
 	for i, x := range w.collectors {
 		if x == f {
 			last := len(w.collectors) - 1
 			copy(w.collectors[i:], w.collectors[i+1:])
 			w.collectors[last] = nil
 			w.collectors = w.collectors[:last]
+			s.busyCollectors--
+			s.refreshIssue(w)
 			return
 		}
 	}
@@ -188,6 +224,7 @@ func (s *SM) resolveBranch(f *inflight, mask uint32) {
 		}
 	}
 	w.stalled = false
+	s.refreshIssue(w)
 	s.completeNoDest(f)
 }
 
@@ -356,29 +393,34 @@ func (s *SM) accessShared(sh *mem.SharedMemory, f *inflight, mask uint32, addrs 
 }
 
 // writeback delivers a destination-register result: the architectural
-// value is merged lane-wise, handed to the window engine (which decides
-// BOC/RF placement per policy and hint), and the scoreboard releases the
+// value is merged lane-wise in place into *result (the completion
+// record's payload), handed to the window engine (which decides BOC/RF
+// placement per policy and hint), and the scoreboard releases the
 // dependents.
-func (s *SM) writeback(f *inflight, result coreValue, mask uint32) {
+//
+//bow:hotpath
+func (s *SM) writeback(f *inflight, result *coreValue, mask uint32) {
 	in := f.in
 	w := f.warp
 
 	if d, ok := in.DstReg(); ok {
-		merged := exec.Merge(f.oldDst, result, mask)
+		exec.Merge(result, &f.oldDst, mask)
 		eng := s.engines[w.slot]
-		buffered := eng.Writeback(d, merged, in.WBHint, f.seq)
+		buffered := eng.Writeback(d, result, in.WBHint, f.seq)
 		if s.Tracer != nil && buffered {
 			s.Tracer.Emit(s.cycle, s.id, w.slot, trace.EvBOCWrite, int32(eng.Occupancy()))
 		}
 		s.st.WritebacksByHint[in.WBHint]++
 	}
 	s.sb.ReleaseWrite(w.slot, in)
+	s.unblockIssue(w.slot)
 	s.complete(f)
 }
 
 // completeNoDest finishes an instruction without a register result.
 func (s *SM) completeNoDest(f *inflight) {
 	s.sb.ReleaseWrite(f.warp.slot, f.in) // releases dst-pred if any
+	s.unblockIssue(f.warp.slot)
 	s.complete(f)
 }
 
@@ -387,6 +429,8 @@ func (s *SM) completeNoDest(f *inflight) {
 // issue-to-collected (the paper's OC stage: waiting on bank reads
 // through the single collector port); waiting for a free functional
 // unit afterwards is not collection time.
+//
+//bow:hotpath
 func (s *SM) complete(f *inflight) {
 	s.st.Executed++
 	total := s.cycle - f.issueCycle

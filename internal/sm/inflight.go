@@ -56,12 +56,14 @@ type delivery struct {
 	val   core.Value
 }
 
-// pushDelivery buffers an arrived register value.
-func (f *inflight) pushDelivery(slots uint8, val core.Value) {
+// pushDelivery buffers an arrived register value, copying *val into
+// the ring slot.
+func (f *inflight) pushDelivery(slots uint8, val *core.Value) {
 	if int(f.delivLen) == len(f.deliv) {
 		panic("sm: delivery ring overflow")
 	}
-	f.deliv[(f.delivHead+f.delivLen)%uint8(len(f.deliv))] = delivery{slots: slots, val: val}
+	d := &f.deliv[(f.delivHead+f.delivLen)%uint8(len(f.deliv))]
+	d.slots, d.val = slots, *val
 	f.delivLen++
 }
 
@@ -71,7 +73,7 @@ func (f *inflight) consumeDelivery() {
 	if f.delivLen == 0 {
 		return
 	}
-	d := f.deliv[f.delivHead]
+	d := &f.deliv[f.delivHead]
 	f.delivHead = (f.delivHead + 1) % uint8(len(f.deliv))
 	f.delivLen--
 	for i := 0; i < f.in.NSrc; i++ {
@@ -84,11 +86,11 @@ func (f *inflight) consumeDelivery() {
 
 // fillReg records a forwarded (bypassed) register value directly into
 // its operand slots — forwarding bypasses the collector port.
-func (f *inflight) fillReg(reg uint8, val core.Value) {
+func (f *inflight) fillReg(reg uint8, val *core.Value) {
 	for i := 0; i < f.in.NSrc; i++ {
 		o := f.in.Srcs[i]
 		if o.Kind == isa.OpdReg && o.Reg == reg {
-			f.srcVals[i] = val
+			f.srcVals[i] = *val
 		}
 	}
 }
@@ -114,18 +116,21 @@ func (f *inflight) collected() bool {
 // arrives at this collector, serves every later instruction whose
 // operand merged into this fill (request merging in the BOC), and
 // fills the window engine's pending entry. Replaces the seed's
-// per-read closure. All deliveries copy *val before FillFromRF runs:
-// the engine fill can evict window entries, and an eviction's
-// functional write may alias the storage val points into.
+// per-read closure. val is borrowed from the register file (a delay-line
+// slot, or the register's storage at zero access latency) and passed on
+// by pointer: each consumer copies it — pushDelivery into a collector's
+// ring, FillFromRF into the pending entry — and none of them writes
+// register storage (a fill evicts nothing), so every copy reads the
+// delivered value.
 func (f *inflight) DeliverRead(reg uint8, val *core.Value) {
 	w := f.warp
 	s := w.sm
-	f.pushDelivery(f.slotMask(reg), *val)
+	f.pushDelivery(f.slotMask(reg), val)
 	if len(w.fillWaiters) > 0 {
 		kept := w.fillWaiters[:0]
 		for _, fw := range w.fillWaiters {
 			if fw.reg == reg {
-				fw.f.pushDelivery(fw.f.slotMask(reg), *val)
+				fw.f.pushDelivery(fw.f.slotMask(reg), val)
 			} else {
 				kept = append(kept, fw)
 			}
@@ -135,7 +140,7 @@ func (f *inflight) DeliverRead(reg uint8, val *core.Value) {
 		}
 		w.fillWaiters = kept
 	}
-	s.engines[w.slot].FillFromRF(reg, *val, f.seq)
+	s.engines[w.slot].FillFromRF(reg, val, f.seq)
 }
 
 // allocInflight returns a reset record from the SM's free list,

@@ -6,9 +6,49 @@ import (
 	"bow/internal/trace"
 )
 
+// Issue states, one byte per warp slot (SM.issueState). The fast issue
+// scan reads the byte instead of re-deriving a verdict that cannot have
+// changed since it was last computed.
+const (
+	// issueIneligible: no resident CTA, done, stalled on control flow,
+	// both collectors busy, or no SIMT frame left.
+	issueIneligible uint8 = iota
+	// issueCandidate: structurally able to issue; the scan fetches the
+	// top instruction and asks the scoreboard.
+	issueCandidate
+	// issueBlocked: a candidate whose top instruction the scoreboard
+	// refused. Only the warp's own releases (ReleaseReads,
+	// ReleaseWrite) or a structural change can lift that verdict, so
+	// until then the scan counts the stall without asking again.
+	issueBlocked
+)
+
+// refreshIssue recomputes w's issue state from its structural inputs,
+// dropping any blocked verdict. Every site that changes one of them —
+// residency, done, stalled, the collector count or the SIMT stack —
+// calls it. The SM-wide collector pool is not folded in: it changes
+// every cycle, and the scan checks it directly.
+func (s *SM) refreshIssue(w *warpCtx) {
+	st := issueIneligible
+	if w.ctaID >= 0 && !w.done && !w.stalled &&
+		len(w.collectors) < collectorsPerWarp && w.peekTop() != nil {
+		st = issueCandidate
+	}
+	s.issueState[w.slot] = st
+}
+
+// unblockIssue lifts a blocked verdict after the scoreboard released
+// one of the warp's hazards.
+func (s *SM) unblockIssue(slot int) {
+	if s.issueState[slot] == issueBlocked {
+		s.issueState[slot] = issueCandidate
+	}
+}
+
 // canIssueWarp reports whether the warp can accept a new instruction
 // this cycle (structural conditions; per-instruction hazards are checked
-// against the scoreboard after fetching).
+// against the scoreboard after fetching). The reference scan evaluates
+// it from scratch; the fast scan reads issueState instead.
 //
 //bow:hotpath
 func (s *SM) canIssueWarp(w *warpCtx) bool {
@@ -25,35 +65,43 @@ func (s *SM) canIssueWarp(w *warpCtx) bool {
 // occupy operand collectors simultaneously (dual issue).
 const collectorsPerWarp = 2
 
-// issue runs every warp scheduler for one cycle.
+// issue runs every warp scheduler for one cycle over the cached issue
+// states: ineligible slots are skipped, blocked ones count a scoreboard
+// stall without touching the warp, and only candidates fetch their
+// top instruction. Bit-identical to issueRef, which the loop
+// differential suites hold it to.
 //
 //bow:hotpath
 func (s *SM) issue() {
+	code := s.kernel.Program.Code
 	for _, sched := range s.scheds {
 		issued := 0
 		for _, wid := range sched.Order(s.canIssue) {
 			if issued >= s.gcfg.IssuePerSched {
 				break
 			}
+			st := s.issueState[wid]
+			if st == issueIneligible || s.busyCollectors >= s.gcfg.NumOCUs {
+				continue
+			}
+			if st == issueBlocked {
+				s.st.ScoreboardStalls++
+				continue
+			}
 			w := s.warps[wid]
-			if !s.canIssueWarp(w) {
-				continue
-			}
 			t := w.top()
-			if t == nil {
-				s.warpExited(w)
-				continue
-			}
-			if t.pc >= len(s.kernel.Program.Code) {
+			if t.pc >= len(code) {
 				// Fell off the end: treat as exit.
 				w.exitLanes(t.mask)
 				if w.top() == nil {
 					s.warpExited(w)
 				}
+				s.refreshIssue(w)
 				continue
 			}
-			in := &s.kernel.Program.Code[t.pc]
+			in := &code[t.pc]
 			if !s.sb.CanIssue(wid, in) {
+				s.issueState[wid] = issueBlocked
 				s.st.ScoreboardStalls++
 				continue
 			}
@@ -95,7 +143,7 @@ func (s *SM) issueInstruction(w *warpCtx, t *simtEntry, in *isa.Instruction) {
 	// it is the merge base for partial (predicated/divergent) writes and
 	// must be read while a superseded window entry still holds it.
 	if d, ok := in.DstReg(); ok {
-		f.oldDst = s.effectiveValue(w.slot, d)
+		f.oldDst = *s.effectiveValue(w.slot, d)
 	}
 
 	// Slide the window. Evictions enqueue RF writes through the engine
@@ -105,7 +153,8 @@ func (s *SM) issueInstruction(w *warpCtx, t *simtEntry, in *isa.Instruction) {
 	if s.Tracer != nil {
 		coalescedBefore = eng.Coalesced()
 	}
-	plan := eng.Advance(in)
+	plan := &s.plan
+	eng.Advance(in, plan)
 	f.seq = plan.Seq
 
 	if tr := s.Tracer; tr != nil {
@@ -138,7 +187,7 @@ func (s *SM) issueInstruction(w *warpCtx, t *simtEntry, in *isa.Instruction) {
 		}
 	} else {
 		for i := 0; i < plan.NBypassed; i++ {
-			f.fillReg(plan.BypassedRegs[i], plan.Bypassed[i])
+			f.fillReg(plan.BypassedRegs[i], &plan.Bypassed[i])
 		}
 		f.outstanding = plan.NNeedRF
 	}
@@ -162,9 +211,9 @@ func (s *SM) issueInstruction(w *warpCtx, t *simtEntry, in *isa.Instruction) {
 		o := in.Srcs[i]
 		switch o.Kind {
 		case isa.OpdImm:
-			f.srcVals[i] = exec.Broadcast(o.Imm)
+			exec.Broadcast(&f.srcVals[i], o.Imm)
 		case isa.OpdSpecial:
-			f.srcVals[i] = s.specialValue(w, o.Spec)
+			s.specialValue(w, o.Spec, &f.srcVals[i])
 		case isa.OpdPred:
 			f.predSrc = w.preds[o.Reg]
 		case isa.OpdReg:
@@ -177,6 +226,7 @@ func (s *SM) issueInstruction(w *warpCtx, t *simtEntry, in *isa.Instruction) {
 	w.collectors = append(w.collectors, f)
 	s.busyCollectors++
 	s.st.Issued++
+	s.refreshIssue(w)
 
 	if s.CaptureTrace {
 		key := [2]int{w.ctaID, w.warpInCTA}

@@ -93,6 +93,14 @@ type SM struct {
 	engines []*core.Engine // one BOC window engine per warp slot
 	ctas    map[int]*ctaWork
 
+	// issueState is the per-slot issue verdict the fast issue scan
+	// reads (issueIneligible, issueCandidate, issueBlocked; issue.go).
+	issueState []uint8 //bow:derived -- cache over restored warp state; LoadState recomputes it, and a dropped blocked verdict only costs one scoreboard query
+
+	// plan is the window engine's operand plan for the instruction
+	// being issued, reused across issues.
+	plan core.Plan //bow:snapskip -- per-issue scratch; dead between issues, so there is nothing to save or reset
+
 	cycle int64
 
 	// wheel is the timing-wheel event calendar (typed completion
@@ -155,8 +163,10 @@ type SM struct {
 	lastBankConflicts int64 //bow:derived -- tracer delta baseline; LoadState reseeds it from the restored RF counter
 
 	// canIssue is the eligibility predicate handed to the warp
-	// schedulers, built once at construction so issue() does not
-	// allocate a capturing closure per scheduler per cycle.
+	// schedulers (GTO's greedy-warp test), built once at construction
+	// so the issue stage does not allocate a capturing closure per
+	// scheduler per cycle. The fast loop's reads issueState; the
+	// reference loop's evaluates canIssueWarp from scratch.
 	canIssue func(wid int) bool //bow:snapskip -- closure wiring, built once at construction
 }
 
@@ -210,19 +220,24 @@ func New(id int, gcfg config.GPU, bcfg core.Config, kernel *Kernel,
 		}),
 		warps:         make([]*warpCtx, gcfg.MaxWarpsPerSM),
 		engines:       make([]*core.Engine, gcfg.MaxWarpsPerSM),
+		issueState:    make([]uint8, gcfg.MaxWarpsPerSM),
 		ctas:          make(map[int]*ctaWork),
 		freeWarpSlots: gcfg.MaxWarpsPerSM,
 		freeTBSlots:   gcfg.MaxTBsPerSM,
 		RegSnapshots:  make(map[[2]int][]core.Value),
 		Traces:        make(map[[2]int][]*isa.Instruction),
 	}
-	s.canIssue = func(wid int) bool { return s.canIssueWarp(s.warps[wid]) }
 	s.wheel = newEventWheel(wheelSpan(gcfg.ALULatency, gcfg.FPULatency,
 		gcfg.SFULatency, gcfg.L1HitCycles, gcfg.L2HitCycles,
 		gcfg.DRAMCycles, gcfg.RFAccessLat))
 	s.ref = gcfg.ReferenceLoop
 	if s.ref {
 		s.refEvents = make(map[int64][]*event)
+		s.canIssue = func(wid int) bool { return s.canIssueWarp(s.warps[wid]) }
+	} else {
+		s.canIssue = func(wid int) bool {
+			return s.issueState[wid] != issueIneligible && s.busyCollectors < s.gcfg.NumOCUs
+		}
 	}
 	s.st.OccupancyBOC = stats.NewHistogram()
 	s.st.OccupancyOCU = stats.NewHistogram()
@@ -260,7 +275,7 @@ func New(id int, gcfg config.GPU, bcfg core.Config, kernel *Kernel,
 func (s *SM) buildEngines() error {
 	for w := range s.engines {
 		wslot := w
-		eng, err := core.NewEngine(s.bcfg, func(reg uint8, val core.Value, cause core.WriteCause) {
+		eng, err := core.NewEngine(s.bcfg, func(reg uint8, val *core.Value, cause core.WriteCause) {
 			if s.Tracer != nil &&
 				(cause == core.CauseWindowEvict || cause == core.CauseCapacityEvict ||
 					cause == core.CauseIntervalDrain) {
@@ -349,6 +364,7 @@ func (s *SM) Reset(bcfg core.Config, kernel *Kernel, global *mem.Memory) error {
 		s.active[i] = nil
 	}
 	s.active = s.active[:0]
+	clear(s.issueState) // every slot is free again: ineligible
 	s.readyHead, s.readyTail = nil, nil
 	clear(s.ctas)
 	s.cycle = 0
@@ -479,7 +495,7 @@ func (s *SM) cycleRefTail() {
 		}
 	}
 	s.dispatchRef()
-	s.issue()
+	s.issueRef()
 	for _, w := range s.warps {
 		if w.ctaID >= 0 && !w.done {
 			if s.bcfg.Policy.Bypassing() {
@@ -499,6 +515,7 @@ func (s *SM) markReady(w *warpCtx, f *inflight) {
 	f.ready = true
 	f.collectCycle = s.cycle
 	s.sb.ReleaseReads(w.slot, f.in)
+	s.unblockIssue(w.slot)
 	s.readyInsert(f)
 }
 

@@ -162,23 +162,32 @@ func TestSpecialValues(t *testing.T) {
 	if w == nil {
 		t.Fatal("warp 1 of CTA 3 not found")
 	}
-	tid := s.specialValue(w, isa.SpecTidX)
+	special := func(sp isa.Special) coreValue {
+		// Start from garbage: specialValue must write every lane.
+		var out coreValue
+		for l := range out {
+			out[l] = 0xDEAD
+		}
+		s.specialValue(w, sp, &out)
+		return out
+	}
+	tid := special(isa.SpecTidX)
 	if tid[0] != 32 || tid[31] != 63 {
 		t.Errorf("tid lanes = %d..%d, want 32..63", tid[0], tid[31])
 	}
-	if v := s.specialValue(w, isa.SpecCtaidX); v[0] != 3 {
+	if v := special(isa.SpecCtaidX); v[0] != 3 {
 		t.Errorf("ctaid = %d", v[0])
 	}
-	if v := s.specialValue(w, isa.SpecNtidX); v[0] != 128 {
+	if v := special(isa.SpecNtidX); v[0] != 128 {
 		t.Errorf("ntid = %d", v[0])
 	}
-	if v := s.specialValue(w, isa.SpecNctaidX); v[0] != 4 {
+	if v := special(isa.SpecNctaidX); v[0] != 4 {
 		t.Errorf("nctaid = %d", v[0])
 	}
-	if v := s.specialValue(w, isa.SpecLaneID); v[5] != 5 {
+	if v := special(isa.SpecLaneID); v[5] != 5 || v[31] != 31 {
 		t.Errorf("laneid = %d", v[5])
 	}
-	if v := s.specialValue(w, isa.SpecWarpID); v[0] != 1 {
+	if v := special(isa.SpecWarpID); v[0] != 1 || v[31] != 1 {
 		t.Errorf("warpid = %d", v[0])
 	}
 }
@@ -190,10 +199,10 @@ func TestInflightDeliveries(t *testing.T) {
 
 	var v1 coreValue
 	v1[0] = 11
-	f.pushDelivery(f.slotMask(1), v1)
+	f.pushDelivery(f.slotMask(1), &v1)
 	var v2 coreValue
 	v2[0] = 22
-	f.pushDelivery(f.slotMask(2), v2)
+	f.pushDelivery(f.slotMask(2), &v2)
 
 	if f.collected() {
 		t.Fatal("collected before consuming deliveries")
@@ -219,16 +228,17 @@ func TestEffectiveValuePrecedence(t *testing.T) {
 	}
 	var rf coreValue
 	rf[0] = 7
-	s.rf.Poke(0, 5, rf)
+	s.rf.Poke(0, 5, &rf)
 	if got := s.effectiveValue(0, 5); got[0] != 7 {
 		t.Errorf("RF fallback = %d", got[0])
 	}
 	// A window copy shadows the RF copy.
 	in := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: 5, PredReg: isa.PredTrue}
-	plan := s.engines[0].Advance(in)
+	var plan core.Plan
+	s.engines[0].Advance(in, &plan)
 	var boc coreValue
 	boc[0] = 9
-	s.engines[0].Writeback(5, boc, isa.WBBoth, plan.Seq)
+	s.engines[0].Writeback(5, &boc, isa.WBBoth, plan.Seq)
 	if got := s.effectiveValue(0, 5); got[0] != 9 {
 		t.Errorf("window copy not preferred: %d", got[0])
 	}
@@ -238,16 +248,17 @@ func TestEffectiveValuePrecedence(t *testing.T) {
 }
 
 func TestRemoveCollector(t *testing.T) {
+	s := &SM{issueState: make([]uint8, 1), busyCollectors: 2}
 	w := &warpCtx{}
-	a := &inflight{}
-	b := &inflight{}
+	a := &inflight{warp: w}
+	b := &inflight{warp: w}
 	w.collectors = []*inflight{a, b}
-	removeCollector(w, a)
+	s.removeCollector(a)
 	if len(w.collectors) != 1 || w.collectors[0] != b {
 		t.Errorf("removeCollector wrong: %v", w.collectors)
 	}
-	removeCollector(w, a) // absent: no-op
-	if len(w.collectors) != 1 {
-		t.Error("removing absent inflight changed the list")
+	s.removeCollector(a) // absent: no-op
+	if len(w.collectors) != 1 || s.busyCollectors != 1 {
+		t.Error("removing absent inflight changed the list or the pool")
 	}
 }

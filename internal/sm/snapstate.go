@@ -678,10 +678,13 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 		return
 	}
 
-	// Derived state.
+	// Derived state. Issue states restart without blocked verdicts: a
+	// blocked slot restores as a candidate whose first scan re-asks the
+	// scoreboard and gets the same answer.
 	s.busyCollectors = 0
 	for _, w := range s.warps {
 		s.busyCollectors += len(w.collectors)
+		s.refreshIssue(w)
 	}
 	// The tracer's conflict-delta baseline: in a traced cold run this
 	// tracks the RF conflict counter exactly (it re-syncs every cycle the

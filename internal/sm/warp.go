@@ -96,6 +96,7 @@ func (s *SM) initWarp(w *warpCtx, ctaID, warpInCTA int) {
 		pc: 0, rpc: -1, mask: fullMask(s.kernel.BlockDim, warpInCTA),
 	})
 	s.activeAdd(w)
+	s.refreshIssue(w)
 }
 
 // activeAdd registers w on the SM's active-warp list (resident, not
@@ -142,6 +143,22 @@ func (w *warpCtx) top() *simtEntry {
 	return nil
 }
 
+// peekTop returns the frame top would return, without popping the
+// exhausted frames above it. Exhausted frames never revive (masks only
+// shrink, and only the frame top returns has its pc moved), so popping
+// them early or late is invisible to the simulation — but leaving the
+// pops to top keeps the SIMT stack, and so every snapshot, exactly as
+// the issue scan shapes it.
+func (w *warpCtx) peekTop() *simtEntry {
+	for i := len(w.stack) - 1; i >= 0; i-- {
+		t := &w.stack[i]
+		if t.mask != 0 && (t.rpc < 0 || t.pc != t.rpc) {
+			return t
+		}
+	}
+	return nil
+}
+
 // exitLanes terminates the given lanes across every stack frame.
 func (w *warpCtx) exitLanes(mask uint32) {
 	for i := range w.stack {
@@ -158,21 +175,27 @@ func (w *warpCtx) predBits(reg uint8, neg bool) uint32 {
 	return b
 }
 
+// zeroValue is what RZ reads as. effectiveValue hands out pointers to
+// it; nothing writes through them.
+var zeroValue core.Value
+
 // effectiveValue returns the architecturally current value of (warp,
-// reg): the window copy when buffered, else the RF copy.
-func (s *SM) effectiveValue(w int, reg uint8) core.Value {
+// reg): the window copy when buffered, else the RF copy. The pointer
+// aliases that storage and is valid until the next engine or register
+// file write; callers copy what they keep.
+func (s *SM) effectiveValue(w int, reg uint8) *core.Value {
 	if reg == isa.RegZero {
-		return core.Value{}
+		return &zeroValue
 	}
-	if v, ok := s.engines[w].Lookup(reg); ok {
+	if v := s.engines[w].Lookup(reg); v != nil {
 		return v
 	}
 	return s.rf.Peek(w, reg)
 }
 
-// specialValue materializes a special register for the warp.
-func (s *SM) specialValue(w *warpCtx, sp isa.Special) core.Value {
-	var out core.Value
+// specialValue materializes a special register for the warp into *out,
+// writing every lane.
+func (s *SM) specialValue(w *warpCtx, sp isa.Special, out *core.Value) {
 	switch sp {
 	case isa.SpecTidX:
 		base := w.warpInCTA * isa.WarpSize
@@ -199,8 +222,9 @@ func (s *SM) specialValue(w *warpCtx, sp isa.Special) core.Value {
 		for l := range out {
 			out[l] = uint32(w.warpInCTA)
 		}
+	default:
+		*out = core.Value{}
 	}
-	return out
 }
 
 // warpExited handles a warp finishing all lanes. In-flight instructions
@@ -219,13 +243,14 @@ func (s *SM) warpExited(w *warpCtx) {
 	}
 	w.done = true
 	s.activeRemove(w)
+	s.refreshIssue(w)
 	cta := s.ctas[w.ctaID]
 
 	if s.CaptureRegs {
 		n := s.kernel.Program.NumRegs()
 		snap := make([]core.Value, n)
 		for r := 0; r < n; r++ {
-			snap[r] = s.effectiveValue(w.slot, uint8(r))
+			snap[r] = *s.effectiveValue(w.slot, uint8(r))
 		}
 		s.RegSnapshots[[2]int{w.ctaID, w.warpInCTA}] = snap
 	}
@@ -247,6 +272,7 @@ func (s *SM) warpExited(w *warpCtx) {
 func (s *SM) retireCTA(cta *ctaWork) {
 	for _, slot := range cta.warps {
 		s.warps[slot].ctaID = -1
+		s.refreshIssue(s.warps[slot])
 	}
 	s.freeWarpSlots += len(cta.warps)
 	s.freeTBSlots++
@@ -275,6 +301,7 @@ func (s *SM) releaseBarrierIfComplete(cta *ctaWork) {
 		if ww.atBarrier {
 			ww.atBarrier = false
 			ww.stalled = false
+			s.refreshIssue(ww)
 		}
 	}
 }
