@@ -48,36 +48,13 @@ var (
 	}
 )
 
-// simRateForkedSweep is the instruction-window sweep the report times
-// cold versus forked: the full paper window range under both windowed
-// policies, with a warm-up deep enough to matter (~3/4 of the shortest
-// tracked kernel) yet inside every kernel's runtime.
-var simRateForkedSweep = simjob.SweepSpec{
-	Benches:      simRateWorkloads,
-	Policies:     []string{simjob.PolicyBOWWT, simjob.PolicyBOWWR},
-	IWs:          []int{2, 3, 4, 5, 6, 7},
-	WarmupCycles: 768,
-}
-
-// simRateBatchSweep is the 36-point instruction-window sweep the
-// report times per-job versus lockstep-batched: the same grid as the
-// forked comparison, but exact (bit-identical results) rather than a
-// warm-up approximation.
-var simRateBatchSweep = simjob.SweepSpec{
-	Benches:  simRateWorkloads,
-	Policies: []string{simjob.PolicyBOWWT, simjob.PolicyBOWWR},
-	IWs:      []int{2, 3, 4, 5, 6, 7},
-}
-
 // writeSimRate measures simulator throughput (optimized vs reference
-// cycle loop) for the benchmark grid, plus the forked-sweep and
-// batch-sweep gains, and writes BENCH_simrate.json.
+// cycle loop) for the benchmark grid and writes BENCH_simrate.json.
 func writeSimRate(path string, minWall time.Duration) error {
 	fmt.Fprintf(os.Stderr, "bowbench: measuring simulation rate (%.0fs per point, x2 loops)\n", minWall.Seconds())
 	return simjob.WriteSimRateReport(path, simRateWorkloads, simRatePolicies, minWall,
 		"pre-PR seed rates (2s/pt, same host class): VECTORADD 229736 c/s, LIB 128996 c/s, SAD 161394 c/s baseline",
-		func(line string) { fmt.Fprintln(os.Stderr, "  "+line) },
-		&simRateForkedSweep, &simRateBatchSweep)
+		func(line string) { fmt.Fprintln(os.Stderr, "  "+line) })
 }
 
 // checkAllocGate reads a freshly written simrate report back and fails

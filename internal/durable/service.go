@@ -87,7 +87,7 @@ type djob struct {
 type Service struct {
 	opts    ServiceOptions
 	wal     *WAL
-	store   *Store
+	store   *simjob.Store
 	tenants *TenantTable
 	queue   *FairQueue
 
@@ -99,10 +99,11 @@ type Service struct {
 	wg     sync.WaitGroup
 
 	// counters for metrics.
-	submitted, joined, storeHits int64
-	dispatched, completed        int64
-	failed                       int64
-	recovered, resumed           int64
+	submitted, joined                 int64
+	storePuts, storeHits, storeMisses int64
+	dispatched, completed             int64
+	failed                            int64
+	recovered, resumed                int64
 }
 
 // NewService opens (replaying if non-empty) the WAL, rebuilds queue
@@ -118,7 +119,7 @@ func NewService(opts ServiceOptions) (*Service, RecoveryStats, error) {
 	if opts.Dispatch == nil {
 		return nil, RecoveryStats{}, fmt.Errorf("durable: Dispatch required")
 	}
-	store, err := NewStore(opts.StoreDir)
+	store, err := simjob.OpenStore(opts.StoreDir)
 	if err != nil {
 		return nil, RecoveryStats{}, err
 	}
@@ -231,12 +232,14 @@ func NewService(opts ServiceOptions) (*Service, RecoveryStats, error) {
 		}
 		delete(pending, hash)
 		recoverStart := time.Now()
-		if j.hasResult && s.store.Has(j.hash) {
-			// The result survived but the complete record didn't: finish
-			// the job administratively instead of re-running it.
-			sum, _ := s.store.Get(j.hash)
-			s.finishRecovered(j.djob, sum)
-			continue
+		if j.hasResult {
+			if sum, ok := s.store.Get(j.hash); ok {
+				// The result survived but the complete record didn't:
+				// finish the job administratively instead of re-running it.
+				s.storeHits++
+				s.finishRecovered(j.djob, sum)
+				continue
+			}
 		}
 		if len(j.checkpoint) > 0 {
 			j.spec.FromCheckpoint = j.checkpoint
@@ -286,7 +289,7 @@ func (s *Service) Tenants() *TenantTable { return s.tenants }
 func (s *Service) WAL() *WAL { return s.wal }
 
 // Store exposes the content-addressed result store.
-func (s *Service) Store() *Store { return s.store }
+func (s *Service) Store() *simjob.Store { return s.store }
 
 // UpsertTenant logs and applies a tenant definition, so standbys and
 // restarts see it.
@@ -421,6 +424,7 @@ func (s *Service) admit(ctx context.Context, tenant string, specs []simjob.JobSp
 			s.storeHits++
 			continue
 		}
+		s.storeMisses++
 		j := &djob{
 			hash: hash, tenant: tenant, spec: spec,
 			traceID: trace.IDFromContext(ctx), done: make(chan struct{}),
@@ -588,8 +592,14 @@ func (s *Service) runJob(j *djob) {
 		s.finish(j, simjob.JobResult{}, err)
 		return
 	}
-	contentHash, perr := s.store.Put(sum)
+	// The store refuses a result that answers some other spec (or a
+	// hash that is not one), so a misbehaving worker can neither write
+	// outside the store nor poison another job's entry.
+	contentHash, perr := s.store.Put(j.hash, sum)
 	if perr == nil {
+		s.mu.Lock()
+		s.storePuts++
+		s.mu.Unlock()
 		_, _ = s.wal.appendJSON(RecResult, ResultPayload{Hash: j.hash, ContentHash: contentHash})
 	}
 	_, _ = s.wal.appendJSON(RecComplete, CompletePayload{Hash: j.hash})
@@ -657,11 +667,10 @@ type ServiceMetrics struct {
 
 // Metrics snapshots the service.
 func (s *Service) Metrics() ServiceMetrics {
-	puts, hits, misses := s.store.Counters()
 	admitted, r401, r429 := s.tenants.Counters()
 	s.mu.Lock()
 	m := ServiceMetrics{
-		StorePuts: puts, StoreHits: hits, StoreMisses: misses,
+		StorePuts: s.storePuts, StoreHits: s.storeHits, StoreMisses: s.storeMisses,
 		Submitted: s.submitted, Joined: s.joined,
 		Dispatched: s.dispatched, Completed: s.completed, Failed: s.failed,
 		Recovered: s.recovered, Resumed: s.resumed,

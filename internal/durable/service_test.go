@@ -7,6 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -409,4 +412,43 @@ func TestServiceConcurrentTenantsFairShare(t *testing.T) {
 func contentHashHex(raw []byte) string {
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
+}
+
+// TestServiceStoreRejectsForeignSpecHash: a worker's result is stored
+// under the job's own hash, and one that claims another spec hash is
+// refused — a SpecHash off the wire can neither write outside the
+// result store nor be logged as a stored result. The job still
+// completes with the dispatched result, as any store failure does.
+func TestServiceStoreRejectsForeignSpecHash(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, err := NewService(ServiceOptions{
+		WALDir: dir, Tenants: []Tenant{{Name: "t1", APIKey: "k1"}}, Dispatchers: 1,
+		Dispatch: func(_ context.Context, spec simjob.JobSpec) (simjob.JobResult, error) {
+			return simjob.JobResult{SpecHash: "../escaped", Bench: spec.Bench, Cycles: 1}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(context.Background(), "t1", testSpec(3)); err != nil {
+		t.Fatal(err)
+	}
+	if m := svc.Metrics(); m.StorePuts != 0 || m.StoreEntries != 0 || m.Completed != 1 {
+		t.Errorf("metrics = %+v, want the job completed with nothing stored", m)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "escaped.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a worker-supplied hash wrote outside the store (stat err %v)", err)
+	}
+	w, _, err := OpenWAL(dir, WALOptions{}, func(r Record) {
+		if r.Type == RecResult {
+			t.Error("WAL logged a result the store refused")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"bow/internal/config"
 	"bow/internal/core"
 	"bow/internal/energy"
 	"bow/internal/policy"
@@ -63,7 +64,7 @@ func CrossPolicy(r *Runner) (*CrossPolicyResult, error) {
 		}
 		res.Policies = append(res.Policies, p)
 		configs[p] = cfg
-		res.Storage[p] = crossPolicyStorage(cfg, r.GCfg.MaxWarpsPerSM)
+		res.Storage[p] = crossPolicyStorage(cfg, config.SimDefault().MaxWarpsPerSM)
 		res.IPCGain[p] = map[string]float64{}
 		res.Energy[p] = map[string]float64{}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"bow/internal/config"
 	"bow/internal/core"
 	"bow/internal/energy"
 	"bow/internal/simjob"
@@ -115,10 +116,10 @@ func RFC(r *Runner) (*RFCResult, error) {
 	res := &RFCResult{
 		RFCImprove:   map[string]float64{},
 		BOWWRImprove: map[string]float64{},
-		RFCBytes:     crossPolicyStorage(rfcCfg, r.GCfg.MaxWarpsPerSM),
+		RFCBytes:     crossPolicyStorage(rfcCfg, config.SimDefault().MaxWarpsPerSM),
 		// The half-size BOC adds (6-3) entries × 128 B per warp over the
 		// baseline's collectors — the paper's 12 KB at 32 warps.
-		BOWWRBytes: crossPolicyStorage(wrCfg, r.GCfg.MaxWarpsPerSM),
+		BOWWRBytes: crossPolicyStorage(wrCfg, config.SimDefault().MaxWarpsPerSM),
 	}
 
 	n := float64(len(Suite()))

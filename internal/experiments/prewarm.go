@@ -85,8 +85,8 @@ func Prewarm(r *Runner) int {
 	n := 0
 	for _, b := range Suite() {
 		for _, p := range prewarmPoints() {
-			spec, ok := r.engineSpec(b, p.cfg, p.reorder, p.trace)
-			if !ok {
+			spec, err := r.spec(b, p.cfg, p.reorder, p.trace)
+			if err != nil {
 				continue
 			}
 			r.Engine.SubmitFull(context.Background(), spec)

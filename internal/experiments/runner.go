@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"bow/internal/artifact"
-	"bow/internal/config"
 	"bow/internal/core"
 	"bow/internal/gpu"
 	"bow/internal/simjob"
@@ -18,13 +16,13 @@ import (
 )
 
 // Runner executes benchmarks under bypass configurations, memoizing
-// results so the figure generators can share runs. When Engine is set,
-// every point is submitted through the concurrent simulation job
-// engine instead of being simulated inline — identical points are
-// deduplicated across figures and independent points run in parallel
-// (see Prewarm).
+// results so the figure generators can share runs. Every point is a
+// simjob.JobSpec on the scaled-down single-SM simulation config, run by
+// simjob.Execute on the calling goroutine — or, when Engine is set,
+// submitted through the concurrent simulation job engine, which
+// deduplicates identical points across figures and runs independent
+// points in parallel (see Prewarm).
 type Runner struct {
-	GCfg      config.GPU
 	MaxCycles int64
 
 	// Engine, when non-nil, routes runs through the job engine's
@@ -41,12 +39,8 @@ type runKey struct {
 	trace   bool
 }
 
-// NewRunner builds a runner on the scaled-down simulation config.
-func NewRunner() *Runner {
-	g := config.SimDefault()
-	g.NumSMs = 1
-	return &Runner{GCfg: g}
-}
+// NewRunner builds a runner that simulates inline.
+func NewRunner() *Runner { return &Runner{} }
 
 // NewEngineRunner is NewRunner submitting through the given job
 // engine.
@@ -94,97 +88,32 @@ func (r *Runner) run(b *workloads.Benchmark, bcfg core.Config, reorder, trace bo
 		return res, nil
 	}
 
-	res, err := r.simulate(b, bcfg, reorder, trace)
+	spec, err := r.spec(b, bcfg, reorder, trace)
 	if err != nil {
 		return nil, err
 	}
-	r.cache[key] = res
-	return res, nil
+	var out *simjob.Outcome
+	if r.Engine != nil {
+		out, err = r.Engine.DoFull(context.Background(), spec)
+	} else {
+		out, err = simjob.Execute(context.Background(), spec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.cache[key] = out.Full
+	return out.Full, nil
 }
 
-// simulate dispatches one point: through the engine when possible,
-// inline otherwise.
-func (r *Runner) simulate(b *workloads.Benchmark, bcfg core.Config, reorder, trace bool) (*gpu.Result, error) {
-	if spec, ok := r.engineSpec(b, bcfg, reorder, trace); ok {
-		out, err := r.Engine.DoFull(context.Background(), spec)
-		if err != nil {
-			return nil, err
-		}
-		return out.Full, nil
-	}
-	return r.simulateInline(b, bcfg, reorder, trace)
-}
-
-// engineSpec maps the point onto a JobSpec when an engine is attached
-// and the runner's GPU config is expressible as one (SimDefault modulo
-// SM count and scheduler — custom chip geometries fall back to the
-// inline path).
-func (r *Runner) engineSpec(b *workloads.Benchmark, bcfg core.Config, reorder, trace bool) (simjob.JobSpec, bool) {
-	if r.Engine == nil {
-		return simjob.JobSpec{}, false
-	}
-	ref := config.SimDefault()
-	ref.NumSMs = r.GCfg.NumSMs
-	ref.Scheduler = r.GCfg.Scheduler
-	if r.GCfg != ref {
-		return simjob.JobSpec{}, false
-	}
-	spec, ok := simjob.SpecFromConfig(b.Name, bcfg, r.GCfg.NumSMs, r.GCfg.Scheduler, r.MaxCycles)
+// spec maps one point onto the JobSpec that simulates it.
+func (r *Runner) spec(b *workloads.Benchmark, bcfg core.Config, reorder, trace bool) (simjob.JobSpec, error) {
+	spec, ok := simjob.SpecFromConfig(b.Name, bcfg, 0, "", r.MaxCycles)
 	if !ok {
-		return simjob.JobSpec{}, false
+		return simjob.JobSpec{}, fmt.Errorf("experiments: %s: config %+v is not expressible as a job spec", b.Name, bcfg)
 	}
 	spec.Reorder = reorder
 	spec.Trace = trace
-	return spec, true
-}
-
-// simulateInline is the engine-less path: one simulation on the
-// calling goroutine against the runner's own GPU config. Preparation
-// comes from the shared artifact layer: registered benchmarks draw
-// from the process-wide cache (a figure re-running a bench reuses its
-// prepared kernel and sealed memory image), unregistered benchmark
-// values build uncached.
-func (r *Runner) simulateInline(b *workloads.Benchmark, bcfg core.Config, reorder, trace bool) (*gpu.Result, error) {
-	key := artifact.KeyForConfig(b.Name, bcfg, reorder)
-	var (
-		pk  *artifact.Kernel
-		img *artifact.Image
-		err error
-	)
-	if reg, rerr := workloads.ByName(b.Name); rerr == nil && reg == b {
-		pk, err = artifact.Default.Kernel(key)
-		if err == nil {
-			img, err = artifact.Default.Image(b.Name)
-		}
-	} else {
-		pk, err = artifact.BuildKernelFor(b, key)
-		if err == nil {
-			img, err = artifact.BuildImageFor(b)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	m := img.NewMemory()
-	d, err := gpu.New(r.GCfg, bcfg, pk.NewSMKernel(), m)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	d.CaptureTrace = trace
-	res, err := d.Run(r.MaxCycles)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	if b.Check != nil {
-		if err := b.Check(m); err != nil {
-			label := b.Name
-			if reorder {
-				label += " (reordered)"
-			}
-			return nil, fmt.Errorf("%s (%v): functional check failed: %w", label, bcfg.Policy, err)
-		}
-	}
-	return res, nil
+	return spec, nil
 }
 
 // Suite returns the benchmark list every experiment iterates.

@@ -24,7 +24,7 @@ var batchPolicies = []core.Config{
 // TestBatchLockstepBitIdentical runs a window-config batch over one
 // shared prepared kernel and demands each device's Result and output
 // memory be bit-identical to a solo run of the same configuration.
-// This is the property that lets RunSweepBatched cache batched results
+// This is the property that lets batched sweeps cache their results
 // under the cold spec hash.
 func TestBatchLockstepBitIdentical(t *testing.T) {
 	for _, bench := range []string{"VECTORADD", "SAD"} {

@@ -1,148 +1,12 @@
 package simjob
 
 import (
-	"bytes"
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 
 	"bow/internal/artifact"
 )
-
-// batchDiffSweep is the differential grid: three workloads under the
-// baseline, both BOW policies, and the rival register-file
-// architectures (whose points collapse the IW axis like baseline does —
-// the engine's dedup layers absorb the duplicate hashes).
-var batchDiffSweep = SweepSpec{
-	Benches:  []string{"VECTORADD", "LIB", "SAD"},
-	Policies: []string{PolicyBaseline, PolicyBOWWT, PolicyBOWWR, PolicyCARFC, PolicyLTRF, PolicySCRF},
-	IWs:      []int{2, 4},
-}
-
-// TestBatchSweepDifferential proves lockstep batch execution is exact:
-// every point of the grid, run through RunSweepBatched, must produce a
-// JobResult whose canonical encoding and a full gpu.Result that are
-// bit-identical to an independent per-job Execute of the same spec.
-func TestBatchSweepDifferential(t *testing.T) {
-	e, err := New(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	res, err := e.RunSweepBatched(context.Background(), batchDiffSweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed > 0 {
-		for _, it := range res.Items {
-			if it.Error != "" {
-				t.Fatalf("%s/%s iw=%d: %s", it.Spec.Bench, it.Spec.Policy, it.Spec.IW, it.Error)
-			}
-		}
-	}
-	if res.BatchGroups == 0 || res.BatchedJobs == 0 {
-		t.Fatalf("sweep formed no lockstep batches (groups=%d jobs=%d)", res.BatchGroups, res.BatchedJobs)
-	}
-	if res.BatchOccupancy <= 0 || res.BatchOccupancy > 1 {
-		t.Fatalf("occupancy %v out of range", res.BatchOccupancy)
-	}
-
-	specs, err := batchDiffSweep.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != len(res.Items) {
-		t.Fatalf("items %d != specs %d", len(res.Items), len(specs))
-	}
-	batched := 0
-	for i, sp := range specs {
-		oracle, err := Execute(context.Background(), sp)
-		if err != nil {
-			t.Fatalf("%s/%s iw=%d oracle: %v", sp.Bench, sp.Policy, sp.IW, err)
-		}
-		item := res.Items[i]
-		if item.Result == nil {
-			t.Fatalf("%s/%s iw=%d: no result", sp.Bench, sp.Policy, sp.IW)
-		}
-		want, err := oracle.Summary.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := item.Result.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s/%s iw=%d: summaries diverge\nbatched %s\nper-job %s",
-				sp.Bench, sp.Policy, sp.IW, got, want)
-		}
-		if item.Cached == "batched" {
-			batched++
-		}
-		// The batched path cached its full result under the cold hash;
-		// demand bit-identity with the per-job simulator output.
-		h, err := sp.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached, ok := e.Cache().Get(h, true); ok && cached.Full != nil {
-			if !reflect.DeepEqual(cached.Full, oracle.Full) {
-				t.Errorf("%s/%s iw=%d: full gpu.Result diverges", sp.Bench, sp.Policy, sp.IW)
-			}
-		} else {
-			t.Errorf("%s/%s iw=%d: batched full result not cached", sp.Bench, sp.Policy, sp.IW)
-		}
-	}
-	if batched == 0 {
-		t.Error("no item was marked batched")
-	}
-}
-
-// TestBatchSweepMatchesPlainSweep runs the same grid through the plain
-// per-job sweep and the batched sweep on separate engines and compares
-// every point's canonical result — the end-to-end twin of the
-// device-level differential above.
-func TestBatchSweepMatchesPlainSweep(t *testing.T) {
-	run := func(sw SweepSpec) *SweepResult {
-		t.Helper()
-		e, err := New(Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		res, err := e.RunSweep(context.Background(), sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(batchDiffSweep)
-	sw := batchDiffSweep
-	sw.Batch = true
-	batched := run(sw)
-	if plain.Failed > 0 || batched.Failed > 0 {
-		t.Fatalf("failures: plain=%d batched=%d", plain.Failed, batched.Failed)
-	}
-	for i := range plain.Items {
-		p, b := plain.Items[i], batched.Items[i]
-		if p.Result == nil || b.Result == nil {
-			t.Fatalf("item %d missing a result", i)
-		}
-		pj, err := p.Result.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bj, err := b.Result.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pj, bj) {
-			t.Errorf("%s/%s iw=%d: plain and batched sweeps diverge",
-				p.Spec.Bench, p.Spec.Policy, p.Spec.IW)
-		}
-	}
-}
 
 // TestBatchSweepServesCacheHits proves a second batched sweep is
 // answered from the result cache without stepping any batch.
@@ -152,15 +16,15 @@ func TestBatchSweepServesCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	sw := SweepSpec{Benches: []string{"VECTORADD"}, Policies: []string{PolicyBOWWT}, IWs: []int{2, 3, 4}}
-	first, err := e.RunSweepBatched(context.Background(), sw)
+	sw := SweepSpec{Benches: []string{"VECTORADD"}, Policies: []string{PolicyBOWWT}, IWs: []int{2, 3, 4}, Batch: true}
+	first, err := e.RunSweep(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.BatchGroups == 0 {
 		t.Fatal("first sweep formed no batch")
 	}
-	second, err := e.RunSweepBatched(context.Background(), sw)
+	second, err := e.RunSweep(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}

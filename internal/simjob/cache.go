@@ -2,19 +2,12 @@ package simjob
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 )
 
 // Cache is the two-tier result cache: an in-memory LRU holding full
-// outcomes (simulator result included), and an optional on-disk tier
-// storing the canonical JobResult JSON — wrapped in a content-hash
-// envelope that is verified on read — under <dir>/<spechash>.json.
+// outcomes (simulator result included), and an optional on-disk tier —
+// a Store of verified result envelopes under <dir>/<spechash>.json.
 // Memory hits can serve figure generators that need the full result;
 // disk hits serve summary-level consumers (the daemon) across process
 // restarts.
@@ -23,7 +16,7 @@ type Cache struct {
 	max   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
-	dir   string
+	disk  *Store // nil = memory only
 
 	hitsMem, hitsDisk, misses int64
 }
@@ -33,25 +26,6 @@ type cacheEntry struct {
 	out  *Outcome
 }
 
-// diskEnvelope is the on-disk framing of one cached result: the
-// canonical JobResult JSON plus a content hash over exactly those
-// bytes. The hash is verified on every read, so a truncated, torn, or
-// bit-rotted cache file is detected and treated as a miss (the fresh
-// run rewrites it) instead of being served as truth. Files in the old
-// bare-JobResult format carry no hash and are likewise misses.
-type diskEnvelope struct {
-	ContentHash string          `json:"contentHash"`
-	Result      json.RawMessage `json:"result"`
-}
-
-// contentHashOf is the envelope hash: sha256 over the canonical result
-// bytes, hex encoded — the same shape as the spec hash and the
-// snapshot content hash.
-func contentHashOf(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
-
 // NewCache builds a cache holding up to max outcomes in memory
 // (max <= 0 selects the default of 4096) and, when dir is non-empty,
 // persisting summaries beneath it (created on demand).
@@ -59,23 +33,26 @@ func NewCache(max int, dir string) (*Cache, error) {
 	if max <= 0 {
 		max = 4096
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("simjob: cache dir: %w", err)
-		}
-	}
-	return &Cache{
+	c := &Cache{
 		max:   max,
 		ll:    list.New(),
 		items: make(map[string]*list.Element),
-		dir:   dir,
-	}, nil
+	}
+	if dir != "" {
+		disk, err := OpenStore(dir)
+		if err != nil {
+			return nil, err
+		}
+		c.disk = disk
+	}
+	return c, nil
 }
 
 // Get looks a spec hash up. needFull demands the complete simulator
 // result: disk-tier entries (summary only) do not satisfy it. The
 // returned outcome is a shallow copy with Cached set to the serving
-// tier.
+// tier. A corrupt, truncated, or mismatched disk file is a miss; the
+// fresh run will overwrite it.
 func (c *Cache) Get(hash string, needFull bool) (*Outcome, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[hash]; ok {
@@ -89,44 +66,39 @@ func (c *Cache) Get(hash string, needFull bool) (*Outcome, bool) {
 			return &cp, true
 		}
 	}
-	if c.dir == "" || needFull {
+	if c.disk == nil || needFull {
 		c.misses++
 		c.mu.Unlock()
 		return nil, false
 	}
 	c.mu.Unlock()
 
-	raw, err := os.ReadFile(c.path(hash))
-	if err != nil {
-		c.mu.Lock()
-		c.misses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	sum, ok := decodeDiskEntry(raw, hash)
+	sum, ok := c.disk.Get(hash)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if !ok {
-		// A corrupt, truncated, or mismatched file is a miss; the fresh
-		// run will overwrite it.
-		c.mu.Lock()
 		c.misses++
-		c.mu.Unlock()
 		return nil, false
 	}
-	out := &Outcome{
+	out := summaryOutcome(hash, sum, "disk")
+	c.hitsDisk++
+	c.insertLocked(hash, out)
+	cp := *out
+	return &cp, true
+}
+
+// summaryOutcome wraps a result read back from an envelope (disk tier
+// or peer) as a summary-level outcome served by the named tier.
+func summaryOutcome(hash string, sum JobResult, tier string) *Outcome {
+	return &Outcome{
 		Spec: JobSpec{
 			Bench: sum.Bench, Policy: sum.Policy, IW: sum.IW,
 			Capacity: sum.Capacity, SMs: sum.SMs, Scheduler: sum.Scheduler,
 		},
 		Hash:    hash,
 		Summary: sum,
-		Cached:  "disk",
+		Cached:  tier,
 	}
-	c.mu.Lock()
-	c.hitsDisk++
-	c.insertLocked(hash, out)
-	c.mu.Unlock()
-	cp := *out
-	return &cp, true
 }
 
 // Put stores a freshly simulated outcome in both tiers.
@@ -135,37 +107,12 @@ func (c *Cache) Put(out *Outcome) error {
 	stored.Cached = ""
 	c.mu.Lock()
 	c.insertLocked(out.Hash, &stored)
-	dir := c.dir
 	c.mu.Unlock()
-	if dir == "" {
+	if c.disk == nil {
 		return nil
 	}
-	canonical, err := out.Summary.CanonicalJSON()
-	if err != nil {
-		return err
-	}
-	raw, err := json.Marshal(diskEnvelope{
-		ContentHash: contentHashOf(canonical),
-		Result:      canonical,
-	})
-	if err != nil {
-		return err
-	}
-	// Write-then-rename so a crashed daemon never leaves a torn file.
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(out.Hash))
+	_, err := c.disk.Put(out.Hash, out.Summary)
+	return err
 }
 
 // insertLocked adds or refreshes the memory-tier entry and evicts the
@@ -189,80 +136,24 @@ func (c *Cache) insertLocked(hash string, out *Outcome) {
 	}
 }
 
-// EncodeResultEnvelope renders a result into the shared on-disk /
-// on-wire framing: canonical JSON wrapped with its content hash. The
-// same bytes serve the disk cache, the coordinator's durable result
-// store, and the GET /result/{hash} peer-fill endpoint, so any holder
-// can hand them to any other and the receiver re-verifies.
-func EncodeResultEnvelope(sum JobResult) (raw []byte, contentHash string, err error) {
-	canonical, err := sum.CanonicalJSON()
-	if err != nil {
-		return nil, "", err
-	}
-	contentHash = contentHashOf(canonical)
-	raw, err = json.Marshal(diskEnvelope{ContentHash: contentHash, Result: canonical})
-	return raw, contentHash, err
-}
-
-// DecodeResultEnvelope verifies and unwraps envelope bytes against the
-// spec hash they claim to answer. ok=false for any integrity failure —
-// never an error, because a bad envelope is simply not a result.
-func DecodeResultEnvelope(raw []byte, specHash string) (JobResult, bool) {
-	return decodeDiskEntry(raw, specHash)
-}
-
-// Peek returns the raw disk-tier envelope for hash without touching
+// Peek returns the verified result envelope for hash without touching
 // the LRU or the hit/miss counters — the read path of the peer-fill
-// GET /result/{hash} endpoint, which must not distort cache metrics.
-// The bytes are verified before being returned.
+// GET /result/{hash} endpoint, which must not distort cache metrics. A
+// memory-resident summary is encoded back into envelope form so the
+// wire format is uniform.
 func (c *Cache) Peek(hash string) ([]byte, bool) {
 	c.mu.Lock()
-	dir := c.dir
-	// Serve from memory when the entry is resident: encode the summary
-	// back into envelope form so the wire format is uniform.
 	if el, ok := c.items[hash]; ok {
 		out := el.Value.(*cacheEntry).out
 		c.mu.Unlock()
-		if raw, _, err := EncodeResultEnvelope(out.Summary); err == nil {
-			return raw, true
-		}
-		return nil, false
+		raw, _, err := EncodeResultEnvelope(out.Summary)
+		return raw, err == nil
 	}
 	c.mu.Unlock()
-	if dir == "" {
+	if c.disk == nil {
 		return nil, false
 	}
-	raw, err := os.ReadFile(c.path(hash))
-	if err != nil {
-		return nil, false
-	}
-	if _, ok := decodeDiskEntry(raw, hash); !ok {
-		return nil, false
-	}
-	return raw, true
-}
-
-// decodeDiskEntry verifies and unwraps one disk-tier file: envelope
-// parse, content hash over the enclosed result bytes, then the spec
-// hash against the file's cache key. Any failure is a miss.
-func decodeDiskEntry(raw []byte, hash string) (JobResult, bool) {
-	var env diskEnvelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return JobResult{}, false
-	}
-	if env.ContentHash == "" || len(env.Result) == 0 ||
-		contentHashOf(env.Result) != env.ContentHash {
-		return JobResult{}, false
-	}
-	var sum JobResult
-	if err := json.Unmarshal(env.Result, &sum); err != nil || sum.SpecHash != hash {
-		return JobResult{}, false
-	}
-	return sum, true
-}
-
-func (c *Cache) path(hash string) string {
-	return filepath.Join(c.dir, hash+".json")
+	return c.disk.Raw(hash)
 }
 
 // Len is the memory-tier entry count.

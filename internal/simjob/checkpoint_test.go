@@ -120,71 +120,6 @@ func TestEngineDrainHandsBackCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunSweepForked covers the forked-sweep planner: points sharing a
-// prefix class simulate the warm-up once and each resume from its
-// snapshot, with the reuse accounted in both the sweep summary and the
-// per-item results.
-func TestRunSweepForked(t *testing.T) {
-	e := newTestEngine(t, Options{Workers: 2})
-	const warm = 64
-	sw := SweepSpec{
-		Benches:      []string{"SAD"},
-		Policies:     []string{"bow-wt", "bow-wb"},
-		IWs:          []int{2, 3},
-		ForkPrefix:   true,
-		WarmupCycles: warm,
-	}
-	res, err := e.RunSweep(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		for _, it := range res.Items {
-			if it.Error != "" {
-				t.Errorf("item %s/%s iw=%d failed: %s", it.Spec.Bench, it.Spec.Policy, it.Spec.IW, it.Error)
-			}
-		}
-		t.Fatalf("forked sweep failed %d/%d items", res.Failed, res.Jobs)
-	}
-	if res.ForkGroups != 1 {
-		t.Errorf("ForkGroups = %d, want 1 (one bench, one prefix class)", res.ForkGroups)
-	}
-	// 4 points in the class: the warm-up ran once instead of 4 times.
-	if want := int64(warm * 3); res.ReusedCycles != want {
-		t.Errorf("sweep ReusedCycles = %d, want %d", res.ReusedCycles, want)
-	}
-	for i, it := range res.Items {
-		if it.Cached != "forked" {
-			t.Errorf("item %d cached=%q, want \"forked\"", i, it.Cached)
-		}
-		if it.Result == nil {
-			t.Fatalf("item %d has no result", i)
-		}
-		if it.Result.ReusedCycles != warm {
-			t.Errorf("item %d ReusedCycles = %d, want %d", i, it.Result.ReusedCycles, warm)
-		}
-		if it.Result.Cycles <= warm {
-			t.Errorf("item %d finished at cycle %d, inside the warm-up", i, it.Result.Cycles)
-		}
-		if !it.Result.Checked {
-			t.Errorf("item %d skipped the functional self-check", i)
-		}
-		wantHash, _ := it.Spec.Hash()
-		if it.Result.SpecHash != wantHash {
-			t.Errorf("item %d carries hash %s, want %s", i, it.Result.SpecHash, wantHash)
-		}
-	}
-
-	// Forked results are warm-up approximations: they must never land in
-	// the cache under the cold spec's hash.
-	for _, it := range res.Items {
-		h, _ := it.Spec.Hash()
-		if _, ok := e.Cache().Get(h, false); ok {
-			t.Errorf("forked result for %s/%s iw=%d was cached", it.Spec.Bench, it.Spec.Policy, it.Spec.IW)
-		}
-	}
-}
-
 // TestRunSweepForkedFallsBackWhenKernelTooShort: a warm-up longer than
 // the kernel leaves nothing to fork — the class must fall back to cold
 // engine runs that match a plain sweep exactly.
@@ -298,7 +233,7 @@ func TestDiskCacheCorruptionIsAMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum, ok := decodeDiskEntry(raw2, hash)
+			sum, ok := DecodeResultEnvelope(raw2, hash)
 			if !ok {
 				t.Fatal("rewritten cache file does not verify")
 			}

@@ -191,30 +191,48 @@ func (e *Engine) DoFull(ctx context.Context, spec JobSpec) (*Outcome, error) {
 }
 
 func (e *Engine) submit(ctx context.Context, spec JobSpec, needFull bool) *Ticket {
-	t := &Ticket{done: make(chan struct{})}
 	norm, err := spec.Normalize()
 	if err != nil {
-		t.resolve(nil, err)
-		return t
+		return resolved(nil, err)
 	}
 	hash, err := norm.Hash()
 	if err != nil {
-		t.resolve(nil, err)
-		return t
+		return resolved(nil, err)
 	}
-	lookupStart := time.Now()
-	if out, ok := e.cache.Get(hash, needFull); ok {
+	if out, ok := e.lookup(ctx, hash, needFull); ok {
+		return resolved(out, nil)
+	}
+	return e.enqueue(ctx, norm, hash, needFull)
+}
+
+func resolved(out *Outcome, err error) *Ticket {
+	t := &Ticket{done: make(chan struct{})}
+	t.resolve(out, err)
+	return t
+}
+
+// lookup probes the result cache for a spec hash, recording the
+// cache-stage span on a hit.
+func (e *Engine) lookup(ctx context.Context, hash string, needFull bool) (*Outcome, bool) {
+	start := time.Now()
+	out, ok := e.cache.Get(hash, needFull)
+	if ok {
 		e.spans.Record(trace.Span{
 			TraceID:     trace.IDFromContext(ctx),
 			Hop:         trace.HopEngine,
 			Stage:       trace.StageCache,
 			Job:         hash,
-			StartMicros: lookupStart.UnixMicro(),
-			DurMicros:   time.Since(lookupStart).Microseconds(),
+			StartMicros: start.UnixMicro(),
+			DurMicros:   time.Since(start).Microseconds(),
 		})
-		t.resolve(out, nil)
-		return t
 	}
+	return out, ok
+}
+
+// enqueue queues a job for a normalized spec whose cache probe already
+// missed, or joins the in-flight twin with the same hash.
+func (e *Engine) enqueue(ctx context.Context, norm JobSpec, hash string, needFull bool) *Ticket {
+	t := &Ticket{done: make(chan struct{})}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -359,7 +377,7 @@ func (e *Engine) runJob(j *job) (*Outcome, int, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, attempt, fmt.Errorf("simjob: job canceled: %w", err)
 		}
-		out, err := e.safeExecute(ctx, j.spec)
+		out, err := e.safeExecute(ctx, j.spec, 0)
 		if err == nil {
 			return out, attempt, nil
 		}
@@ -373,9 +391,13 @@ func (e *Engine) runJob(j *job) (*Outcome, int, error) {
 	return nil, e.opts.Retries + 1, lastErr
 }
 
-// safeExecute runs the job body, converting panics into errors so one
-// bad job cannot kill the pool.
-func (e *Engine) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, err error) {
+// safeExecute is the guard every simulation the engine starts runs
+// under — pool jobs, forked sweep points and their warm-ups alike: the
+// Options.Timeout bound, and panic isolation converting a panic into
+// an error so one bad job cannot kill the pool. until > 0 pauses the
+// run at that cycle and returns the checkpointed outcome (a fork
+// warm-up); otherwise the job body runs to completion.
+func (e *Engine) safeExecute(ctx context.Context, spec JobSpec, until int64) (out *Outcome, err error) {
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
@@ -386,6 +408,9 @@ func (e *Engine) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, e
 			out, err = nil, fmt.Errorf("simjob: job panicked: %v", r)
 		}
 	}()
+	if until > 0 {
+		return executeUntil(ctx, spec, nil, until)
+	}
 	return e.execute(ctx, spec)
 }
 

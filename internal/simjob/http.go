@@ -41,7 +41,8 @@ type SimulateResponse struct {
 //	POST /simulate       JobSpec JSON   -> SimulateResponse
 //	POST /sweep          SweepSpec JSON -> SweepResult
 //	GET  /result/{hash}  cached result envelope for a spec hash
-//	                     (peer-to-peer cache fill; 404 when absent)
+//	                     (peer-to-peer cache fill; 404 when absent,
+//	                     400 when hash is not a spec hash)
 //	GET  /healthz        liveness
 //	GET  /readyz         readiness (503 while draining)
 //	GET  /metrics   Metrics JSON (engine + HTTP gauges); Prometheus
@@ -122,6 +123,10 @@ func NewServer(e *Engine) *Server {
 			return
 		}
 		hash := strings.TrimPrefix(r.URL.Path, "/result/")
+		if !validHash(hash) {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("malformed spec hash %q", hash))
+			return
+		}
 		raw, ok := e.Cache().Peek(hash)
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", hash))

@@ -60,12 +60,6 @@ type Metrics struct {
 	Draining     bool             `json:"draining,omitempty"`
 }
 
-// artifactDefaultCounters reads the process-wide artifact cache
-// counters (indirection keeps simrate free of the artifact import).
-func artifactDefaultCounters() (hits, misses int64) {
-	return artifact.Default.Counters()
-}
-
 // Metrics snapshots the engine state.
 func (e *Engine) Metrics() Metrics {
 	hitsMem, hitsDisk, misses := e.cache.Counters()

@@ -78,15 +78,7 @@ func (e *Engine) fetchPeer(j *job) *Outcome {
 		if err != nil || !ok {
 			continue
 		}
-		out := &Outcome{
-			Spec: JobSpec{
-				Bench: sum.Bench, Policy: sum.Policy, IW: sum.IW,
-				Capacity: sum.Capacity, SMs: sum.SMs, Scheduler: sum.Scheduler,
-			},
-			Hash:    j.hash,
-			Summary: sum,
-			Cached:  "peer",
-		}
+		out := summaryOutcome(j.hash, sum, "peer")
 		// Adopt the result into our own cache so the next local lookup
 		// (and the next peer asking us) is a direct hit.
 		_ = e.cache.Put(out)

@@ -45,8 +45,8 @@ type JobResult struct {
 
 	// ReusedCycles is the simulated-cycle count this result inherited
 	// from a shared warm-up snapshot instead of simulating itself. Only
-	// the forked-sweep planner sets it (RunSweepForked); cold runs and
-	// exact same-spec resumes leave it zero, keeping their canonical
+	// a forked sweep's fork step sets it; cold runs and exact
+	// same-spec resumes leave it zero, keeping their canonical
 	// encodings identical. A nonzero value marks the timing numbers as
 	// warm-up approximations — forked results are never cached.
 	ReusedCycles int64 `json:"reusedCycles,omitempty"`

@@ -82,12 +82,7 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 	// cold runs draw an image.
 	prepStart := time.Now()
 	key := artifact.KeyForConfig(spec.Bench, bcfg, spec.Reorder)
-	var pk *artifact.Kernel
-	if uncachedPrep(ctx) {
-		pk, err = artifact.BuildKernel(key)
-	} else {
-		pk, err = artifact.Default.Kernel(key)
-	}
+	pk, err := artifact.Default.Kernel(key)
 	if err != nil {
 		return nil, err
 	}
@@ -98,12 +93,7 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 	if resuming {
 		m = mem.NewMemory()
 	} else {
-		var img *artifact.Image
-		if uncachedPrep(ctx) {
-			img, err = artifact.BuildImage(spec.Bench)
-		} else {
-			img, err = artifact.Default.Image(spec.Bench)
-		}
+		img, err := artifact.Default.Image(spec.Bench)
 		if err != nil {
 			return nil, err
 		}
@@ -199,25 +189,6 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 // spanLogKey carries the engine's span log into the execution path so
 // executeUntil can record fine-grained stages (StagePrep) without the
 // engine inspecting the job body.
-// uncachedPrepKey marks a context whose executions rebuild the kernel
-// and memory image per job instead of drawing from the shared artifact
-// cache — the per-job prep discipline the engine had before the
-// artifact layer. WithUncachedPrep exists so benchmarks can measure
-// the shared layer against that baseline; production paths never set
-// it.
-type uncachedPrepKey struct{}
-
-// WithUncachedPrep returns a context under which every execution
-// rebuilds its prep products privately (no shared artifacts).
-func WithUncachedPrep(ctx context.Context) context.Context {
-	return context.WithValue(ctx, uncachedPrepKey{}, true)
-}
-
-func uncachedPrep(ctx context.Context) bool {
-	on, _ := ctx.Value(uncachedPrepKey{}).(bool)
-	return on
-}
-
 type spanLogKey struct{}
 
 func withSpanLog(ctx context.Context, l *trace.SpanLog) context.Context {

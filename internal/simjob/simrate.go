@@ -29,344 +29,9 @@ type SimRatePoint struct {
 
 // SimRateReport is the schema of BENCH_simrate.json.
 type SimRateReport struct {
-	GitSHA      string           `json:"git_sha"`
-	SeedNote    string           `json:"seed_note,omitempty"`
-	Points      []SimRatePoint   `json:"points"`
-	ForkedSweep *ForkedSweepRate `json:"forked_sweep,omitempty"`
-	BatchSweep  *BatchSweepRate  `json:"batch_sweep,omitempty"`
-	CrossPolicy *CrossPolicyRate `json:"cross_policy,omitempty"`
-}
-
-// CrossPolicyRate is one measured run of the full architecture race:
-// every canonical policy (AllPolicies) on every tracked workload,
-// expanded as one sweep and executed on the worker pool. Its presence
-// in the report certifies the race completed with every point passing
-// its functional self-check; the throughput is the aggregate over the
-// whole roster.
-type CrossPolicyRate struct {
-	Benches      []string `json:"benches"`
-	Policies     []string `json:"policies"`
-	Workers      int      `json:"workers"`
-	Points       int      `json:"points"`
-	SimCycles    int64    `json:"sim_cycles"`
-	WallSec      float64  `json:"wall_sec"`
-	CyclesPerSec float64  `json:"cycles_per_sec"`
-}
-
-// MeasureCrossPolicyRate races the full policy roster over benches as
-// one sweep per round on a fresh engine (no result cache between
-// rounds), reporting the best wall time. Any failed point fails the
-// measurement.
-func MeasureCrossPolicyRate(benches []string, workers, rounds int) (*CrossPolicyRate, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	sw := SweepSpec{Benches: benches, Policies: AllPolicies()}
-	out := &CrossPolicyRate{Benches: benches, Policies: AllPolicies(), Workers: workers}
-	for r := 0; r < rounds; r++ {
-		e, err := New(Options{Workers: workers})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, err := e.RunSweep(context.Background(), sw)
-		wall := time.Since(start).Seconds()
-		e.Close()
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range res.Items {
-			if it.Error != "" {
-				return nil, fmt.Errorf("cross-policy %s/%s: %s", it.Spec.Bench, it.Spec.Policy, it.Error)
-			}
-		}
-		if r == 0 {
-			out.Points = res.Jobs
-			for _, it := range res.Items {
-				out.SimCycles += it.Result.Cycles
-			}
-		}
-		if r == 0 || wall < out.WallSec {
-			out.WallSec = wall
-		}
-	}
-	if out.WallSec > 0 {
-		out.CyclesPerSec = float64(out.SimCycles) / out.WallSec
-	}
-	return out, nil
-}
-
-// ForkedSweepRate is one measured comparison of an instruction-window
-// sweep run cold versus with warm-up prefix forking (RunSweepForked):
-// the same point grid on the same pool, timed end to end, with the
-// fork accounting carried over from the sweep result. Gain is the
-// aggregate sweep-throughput ratio cold/forked; with perfect load
-// balance it approaches ColdCycles / (ColdCycles - ReusedCycles).
-type ForkedSweepRate struct {
-	Benches       []string `json:"benches"`
-	Policies      []string `json:"policies"`
-	IWs           []int    `json:"iws"`
-	WarmupCycles  int64    `json:"warmup_cycles"`
-	Workers       int      `json:"workers"`
-	Points        int      `json:"points"`
-	ForkGroups    int      `json:"fork_groups"`
-	ReusedCycles  int64    `json:"reused_cycles"`
-	ColdCycles    int64    `json:"cold_cycles"`
-	ColdWallSec   float64  `json:"cold_wall_sec"`
-	ForkedWallSec float64  `json:"forked_wall_sec"`
-	Gain          float64  `json:"gain"`
-}
-
-// MeasureForkedSweepRate times sw cold and with ForkPrefix on fresh
-// engines (no result cache between rounds) and reports the best wall
-// time of each over `rounds` repetitions. The sweep must succeed on
-// both paths; any failed item fails the measurement.
-func MeasureForkedSweepRate(sw SweepSpec, workers, rounds int) (*ForkedSweepRate, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	runOnce := func(s SweepSpec) (*SweepResult, float64, error) {
-		e, err := New(Options{Workers: workers})
-		if err != nil {
-			return nil, 0, err
-		}
-		defer e.Close()
-		start := time.Now()
-		res, err := e.RunSweep(context.Background(), s)
-		if err != nil {
-			return nil, 0, err
-		}
-		if res.Failed > 0 {
-			for _, it := range res.Items {
-				if it.Error != "" {
-					return nil, 0, fmt.Errorf("%s/%s iw=%d: %s", it.Spec.Bench, it.Spec.Policy, it.Spec.IW, it.Error)
-				}
-			}
-		}
-		return res, time.Since(start).Seconds(), nil
-	}
-
-	cold := sw
-	cold.ForkPrefix = false
-	forked := sw
-	forked.ForkPrefix = true
-
-	warm := sw.WarmupCycles
-	if warm <= 0 {
-		warm = DefaultWarmupCycles
-	}
-	out := &ForkedSweepRate{
-		Benches: sw.Benches, Policies: sw.Policies, IWs: sw.IWs,
-		WarmupCycles: warm, Workers: workers,
-	}
-	for r := 0; r < rounds; r++ {
-		cres, cwall, err := runOnce(cold)
-		if err != nil {
-			return nil, fmt.Errorf("cold sweep: %w", err)
-		}
-		fres, fwall, err := runOnce(forked)
-		if err != nil {
-			return nil, fmt.Errorf("forked sweep: %w", err)
-		}
-		if fres.ForkGroups == 0 {
-			return nil, fmt.Errorf("forked sweep formed no prefix classes (warm-up %d cycles too long?)", warm)
-		}
-		if r == 0 {
-			out.Points = cres.Jobs
-			out.ForkGroups = fres.ForkGroups
-			out.ReusedCycles = fres.ReusedCycles
-			for _, it := range cres.Items {
-				out.ColdCycles += it.Result.Cycles
-			}
-		}
-		if r == 0 || cwall < out.ColdWallSec {
-			out.ColdWallSec = cwall
-		}
-		if r == 0 || fwall < out.ForkedWallSec {
-			out.ForkedWallSec = fwall
-		}
-	}
-	if out.ForkedWallSec > 0 {
-		out.Gain = out.ColdWallSec / out.ForkedWallSec
-	}
-	return out, nil
-}
-
-// BatchSweepRate is one measured comparison of an instruction-window
-// sweep run through the classic per-job path versus shared artifacts
-// plus batch stepping (RunSweepBatched): the same point grid, timed
-// end to end. The cold leg runs with per-job prep (WithUncachedPrep) —
-// every job parses, reorders, and prepares its own kernel and builds
-// its own memory image, the discipline the engine had before the
-// artifact layer — so the gain records what the shared-prep layer and
-// the batch execution mode buy together over that baseline. Unlike
-// prefix forking the batched results are exact, so this is a
-// pure-throughput comparison with no fidelity trade.
-type BatchSweepRate struct {
-	Benches        []string `json:"benches"`
-	Policies       []string `json:"policies"`
-	IWs            []int    `json:"iws"`
-	BatchSize      int      `json:"batch_size"`
-	Workers        int      `json:"workers"`
-	Points         int      `json:"points"`
-	BatchGroups    int      `json:"batch_groups"`
-	BatchedJobs    int      `json:"batched_jobs"`
-	BatchOccupancy float64  `json:"batch_occupancy"`
-	ArtifactHits   int64    `json:"artifact_hits"`   // delta over the measurement
-	ArtifactMisses int64    `json:"artifact_misses"` // ditto: artifacts actually built
-	SimCycles      int64    `json:"sim_cycles"`      // aggregate simulated cycles per sweep
-
-	ColdWallSec       float64 `json:"cold_wall_sec"`
-	BatchWallSec      float64 `json:"batch_wall_sec"`
-	ColdCyclesPerSec  float64 `json:"cold_cycles_per_sec"`
-	BatchCyclesPerSec float64 `json:"batch_cycles_per_sec"`
-	Gain              float64 `json:"gain"`
-
-	// Allocation-side evidence for the wall-clock numbers, from the
-	// first round of each leg: total bytes allocated and GC cycles
-	// triggered while the sweep ran. The sweep is simulation-bound, so
-	// the wall gain is modest and noise-sensitive; the allocation and
-	// GC deltas are deterministic and show what the shared artifacts,
-	// CoW images, and device-carcass recycling actually remove (the
-	// cold path reallocates ~1.8 MB of device state per point, the
-	// batch path re-launders one carcass through each chunk).
-	ColdAllocMB  float64 `json:"cold_alloc_mb"`
-	BatchAllocMB float64 `json:"batch_alloc_mb"`
-	ColdGCs      int64   `json:"cold_gcs"`
-	BatchGCs     int64   `json:"batch_gcs"`
-}
-
-// MeasureBatchSweepRate times sw through the per-job path and with
-// Batch on, each on a fresh engine (no result cache between rounds),
-// reporting the best wall time of each over `rounds` repetitions. Any
-// failed item fails the measurement.
-func MeasureBatchSweepRate(sw SweepSpec, workers, rounds int) (*BatchSweepRate, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	runOnce := func(ctx context.Context, s SweepSpec) (*SweepResult, float64, uint64, int64, error) {
-		e, err := New(Options{Workers: workers})
-		if err != nil {
-			return nil, 0, 0, 0, err
-		}
-		defer e.Close()
-		// Normalize GC pacing before the timed leg (the same discipline
-		// MeasureSimRate applies): without this the legs inherit whatever
-		// heap target earlier benchmarks inflated, and the comparison
-		// becomes a function of measurement order.
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		res, err := e.RunSweep(ctx, s)
-		if err != nil {
-			return nil, 0, 0, 0, err
-		}
-		wall := time.Since(start).Seconds()
-		runtime.ReadMemStats(&m1)
-		for _, it := range res.Items {
-			if it.Error != "" {
-				return nil, 0, 0, 0, fmt.Errorf("%s/%s iw=%d: %s", it.Spec.Bench, it.Spec.Policy, it.Spec.IW, it.Error)
-			}
-		}
-		return res, wall, m1.TotalAlloc - m0.TotalAlloc, int64(m1.NumGC - m0.NumGC), nil
-	}
-
-	cold := sw
-	cold.ForkPrefix, cold.Batch = false, false
-	coldCtx := WithUncachedPrep(context.Background())
-	batched := sw
-	batched.ForkPrefix, batched.Batch = false, true
-
-	size := sw.BatchSize
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	out := &BatchSweepRate{
-		Benches: sw.Benches, Policies: sw.Policies, IWs: sw.IWs,
-		BatchSize: size, Workers: workers,
-	}
-	h0, m0 := artifactDefaultCounters()
-	for r := 0; r < rounds; r++ {
-		// Alternate which leg runs first: on a busy host the second leg
-		// of a pair inherits warmed CPU state (branch predictors, page
-		// tables), and a fixed order would hand that edge to one side of
-		// the comparison every round.
-		var bres, cres *SweepResult
-		var bwall, cwall float64
-		var balloc, calloc uint64
-		var bgcs, cgcs int64
-		var err error
-		runBatch := func() error {
-			bres, bwall, balloc, bgcs, err = runOnce(context.Background(), batched)
-			if err != nil {
-				return fmt.Errorf("batched sweep: %w", err)
-			}
-			return nil
-		}
-		runCold := func() error {
-			cres, cwall, calloc, cgcs, err = runOnce(coldCtx, cold)
-			if err != nil {
-				return fmt.Errorf("cold sweep: %w", err)
-			}
-			return nil
-		}
-		if r%2 == 0 {
-			err = runBatch()
-			if err == nil {
-				err = runCold()
-			}
-		} else {
-			err = runCold()
-			if err == nil {
-				err = runBatch()
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if bres.BatchGroups == 0 {
-			return nil, fmt.Errorf("batched sweep formed no lockstep groups")
-		}
-		if r == 0 {
-			out.Points = cres.Jobs
-			out.BatchGroups = bres.BatchGroups
-			out.BatchedJobs = bres.BatchedJobs
-			out.BatchOccupancy = bres.BatchOccupancy
-			for _, it := range cres.Items {
-				out.SimCycles += it.Result.Cycles
-			}
-			out.ColdAllocMB = float64(calloc) / 1e6
-			out.BatchAllocMB = float64(balloc) / 1e6
-			out.ColdGCs = cgcs
-			out.BatchGCs = bgcs
-		}
-		if r == 0 || cwall < out.ColdWallSec {
-			out.ColdWallSec = cwall
-		}
-		if r == 0 || bwall < out.BatchWallSec {
-			out.BatchWallSec = bwall
-		}
-	}
-	h1, m1 := artifactDefaultCounters()
-	out.ArtifactHits, out.ArtifactMisses = h1-h0, m1-m0
-	if out.ColdWallSec > 0 {
-		out.ColdCyclesPerSec = float64(out.SimCycles) / out.ColdWallSec
-	}
-	if out.BatchWallSec > 0 {
-		out.BatchCyclesPerSec = float64(out.SimCycles) / out.BatchWallSec
-		out.Gain = out.ColdWallSec / out.BatchWallSec
-	}
-	return out, nil
+	GitSHA   string         `json:"git_sha"`
+	SeedNote string         `json:"seed_note,omitempty"`
+	Points   []SimRatePoint `json:"points"`
 }
 
 // MeasureSimRate runs the spec's simulation repeatedly (inline, no
@@ -441,29 +106,10 @@ func GitSHA() string {
 
 // WriteSimRateReport measures every (workload, policy) pair and writes
 // the JSON report to path. progress, when non-nil, receives one line
-// per finished point. When forkedSweep is non-nil, the same report
-// also records the cold-versus-forked sweep throughput comparison
-// (MeasureForkedSweepRate) for that sweep; when batchSweep is non-nil,
-// the per-job-versus-lockstep comparison (MeasureBatchSweepRate).
+// per finished point.
 func WriteSimRateReport(path string, workloads, policies []string,
-	minWall time.Duration, seedNote string, progress func(string),
-	forkedSweep, batchSweep *SweepSpec) error {
+	minWall time.Duration, seedNote string, progress func(string)) error {
 	rep := SimRateReport{GitSHA: GitSHA(), SeedNote: seedNote}
-	// Measure the batch comparison first, from a clean process: the
-	// per-point loops below run thousands of Execute calls over the very
-	// specs the sweeps replay, and that systematically flatters the
-	// per-job round of a comparison measured after them.
-	if batchSweep != nil {
-		br, err := MeasureBatchSweepRate(*batchSweep, 0, 11)
-		if err != nil {
-			return fmt.Errorf("batch sweep rate: %w", err)
-		}
-		rep.BatchSweep = br
-		if progress != nil {
-			progress(fmt.Sprintf("batch sweep: %d pts in %d batches (occupancy %.2f) — per-job %.0f cyc/s vs lockstep %.0f cyc/s (%.2fx)",
-				br.Points, br.BatchGroups, br.BatchOccupancy, br.ColdCyclesPerSec, br.BatchCyclesPerSec, br.Gain))
-		}
-	}
 	for _, wl := range workloads {
 		for _, pol := range policies {
 			p, err := MeasureSimRateVsReference(JobSpec{Bench: wl, Policy: pol}, minWall)
@@ -476,29 +122,6 @@ func WriteSimRateReport(path string, workloads, policies []string,
 					p.Workload, p.Policy, p.CyclesPerSec, p.RefCyclesPerSec, p.Speedup, p.AllocsPerCycle))
 			}
 		}
-	}
-	if forkedSweep != nil {
-		fr, err := MeasureForkedSweepRate(*forkedSweep, 0, 0)
-		if err != nil {
-			return fmt.Errorf("forked sweep rate: %w", err)
-		}
-		rep.ForkedSweep = fr
-		if progress != nil {
-			progress(fmt.Sprintf("forked sweep: %d pts, %d groups, %d cycles reused — cold %.2fs vs forked %.2fs (%.2fx)",
-				fr.Points, fr.ForkGroups, fr.ReusedCycles, fr.ColdWallSec, fr.ForkedWallSec, fr.Gain))
-		}
-	}
-	// The cross-policy race always rides along: one sweep over the full
-	// architecture roster, certifying every policy still completes and
-	// self-checks on the tracked workloads.
-	xr, err := MeasureCrossPolicyRate(workloads, 0, 0)
-	if err != nil {
-		return fmt.Errorf("cross-policy rate: %w", err)
-	}
-	rep.CrossPolicy = xr
-	if progress != nil {
-		progress(fmt.Sprintf("cross-policy race: %d pts over %d policies — %.2fs (%.0f cyc/s)",
-			xr.Points, len(xr.Policies), xr.WallSec, xr.CyclesPerSec))
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -1,7 +1,6 @@
 package simjob
 
 import (
-	"context"
 	"fmt"
 
 	"bow/internal/workloads"
@@ -24,22 +23,21 @@ type SweepSpec struct {
 	Schedulers []string `json:"schedulers,omitempty"`
 	MaxCycles  int64    `json:"maxCycles,omitempty"`
 
-	// ForkPrefix turns on warm-up prefix forking (RunSweepForked):
-	// points sharing a (bench, SMs, scheduler, maxCycles) prefix class
-	// simulate their warm-up once under the baseline policy, snapshot
-	// it, and each fork from the snapshot instead of re-simulating the
-	// prefix. Forked timing numbers are warm-up approximations, marked
-	// by JobResult.ReusedCycles and excluded from the result cache.
+	// ForkPrefix turns on warm-up prefix forking: points sharing a
+	// sweep class (bench, SMs, scheduler, maxCycles) simulate their
+	// warm-up once under the baseline policy, snapshot it, and each
+	// fork from the snapshot instead of re-simulating the prefix.
+	// Forked timing numbers are warm-up approximations, marked by
+	// JobResult.ReusedCycles and excluded from the result cache.
 	ForkPrefix bool `json:"forkPrefix,omitempty"`
 	// WarmupCycles is the shared prefix length to simulate before
 	// forking (0 = DefaultWarmupCycles). Groups whose kernel completes
 	// within the warm-up fall back to cold runs.
 	WarmupCycles int64 `json:"warmupCycles,omitempty"`
 
-	// Batch turns on lockstep multi-config stepping (RunSweepBatched):
-	// points sharing a (bench, SMs, scheduler, maxCycles) class are
-	// stepped one cycle each per tick on a single goroutine, sharing
-	// the prepared kernel and amortizing instruction-stream locality.
+	// Batch turns on lockstep multi-config stepping: points sharing a
+	// sweep class are stepped on a single goroutine, sharing the
+	// prepared kernel and amortizing instruction-stream locality.
 	// Unlike ForkPrefix this is exact — results are bit-identical to
 	// per-job runs and cacheable. ForkPrefix takes precedence when both
 	// are set.
@@ -157,42 +155,6 @@ type SweepResult struct {
 	BatchGroups    int     `json:"batchGroups,omitempty"`
 	BatchedJobs    int     `json:"batchedJobs,omitempty"`
 	BatchOccupancy float64 `json:"batchOccupancy,omitempty"`
-}
-
-// RunSweep expands the sweep, submits every point to the pool at once,
-// and collects the results in expansion order. Individual job failures
-// are reported inline; only expansion errors fail the sweep as a
-// whole.
-func (e *Engine) RunSweep(ctx context.Context, sw SweepSpec) (*SweepResult, error) {
-	if sw.ForkPrefix {
-		return e.RunSweepForked(ctx, sw)
-	}
-	if sw.Batch {
-		return e.RunSweepBatched(ctx, sw)
-	}
-	specs, err := sw.Expand()
-	if err != nil {
-		return nil, err
-	}
-	tickets := make([]*Ticket, len(specs))
-	for i, spec := range specs {
-		tickets[i] = e.Submit(ctx, spec)
-	}
-	res := &SweepResult{Jobs: len(specs), Items: make([]SweepItem, len(specs))}
-	for i, t := range tickets {
-		item := SweepItem{Spec: specs[i]}
-		out, err := t.WaitContext(ctx)
-		if err != nil {
-			item.Error = err.Error()
-			res.Failed++
-		} else {
-			item.Cached = out.Cached
-			sum := out.Summary
-			item.Result = &sum
-		}
-		res.Items[i] = item
-	}
-	return res, nil
 }
 
 func orDefault(v, def []string) []string {
