@@ -6,7 +6,7 @@
 //	bowctl [-coord http://localhost:8080] [-api-key KEY] status
 //	bowctl [-coord URL] [-api-key KEY] sweep [-benches SAD,LIB] [-policies baseline,bow-wr]
 //	       [-iws 2,3,4] [-capacities ...] [-sms ...] [-schedulers gto,lrr]
-//	       [-maxcycles N] [-fork] [-warmup N] [-batch] [-batchsize N] [-json] [-quiet] [-trace] [-traceid ID]
+//	       [-maxcycles N] [-fork] [-warmup N] [-json] [-quiet] [-trace] [-traceid ID]
 //	bowctl [-coord URL] [-api-key KEY] tenants
 //	bowctl [-coord URL] trace -id ID
 //
@@ -94,7 +94,8 @@ func usage() {
   bowctl [-coord URL] [-api-key KEY] status
   bowctl [-coord URL] [-api-key KEY] sweep [-benches a,b] [-policies p,q] [-iws 2,3]
          [-capacities n,m] [-sms 1,2] [-schedulers gto,lrr]
-         [-maxcycles N] [-fork] [-warmup N] [-batch] [-batchsize N] [-json] [-quiet] [-trace] [-traceid ID]
+         [-maxcycles N] [-fork] [-warmup N] [-json] [-quiet] [-trace] [-traceid ID]
+         (-batch and -batchsize N are accepted and ignored)
   bowctl [-coord URL] [-api-key KEY] tenants
   bowctl [-coord URL] trace -id ID
 `)
@@ -224,8 +225,8 @@ func runSweep(base string, args []string) error {
 	maxCycles := fs.Int64("maxcycles", 0, "per-job cycle bound (0 = default)")
 	forkPrefix := fs.Bool("fork", false, "warm-up prefix forking: points sharing a (bench,sms,scheduler) class resume one shared warm-up snapshot instead of re-simulating it (honored when the target is a worker bowd; a coordinator shards per point and runs cold)")
 	warmup := fs.Int64("warmup", 0, "with -fork: shared warm-up prefix length in cycles (0 = engine default; implies -fork)")
-	batch := fs.Bool("batch", false, "lockstep batch stepping: points sharing a (bench,sms,scheduler) class step one cycle each per tick on a shared prepared kernel; exact (bit-identical to per-job runs), unlike -fork")
-	batchSize := fs.Int("batchsize", 0, "with -batch: max points per lockstep group (0 = engine default; implies -batch)")
+	fs.Bool("batch", false, "ignored: accepted so existing scripts keep working; every point not forked runs as its own job")
+	fs.Int("batchsize", 0, "ignored, like -batch")
 	jsonOut := fs.Bool("json", false, "print the aggregate SweepResult JSON instead of tables")
 	quiet := fs.Bool("quiet", false, "suppress per-point progress lines")
 	traced := fs.Bool("trace", false, "tag the sweep with a trace ID and render its spans afterwards")
@@ -246,9 +247,6 @@ func runSweep(base string, args []string) error {
 	if *warmup > 0 {
 		*forkPrefix = true
 	}
-	if *batchSize > 0 {
-		*batch = true
-	}
 	sw := simjob.SweepSpec{
 		Benches:      splitCSV(*benches),
 		Policies:     splitCSV(*policies),
@@ -256,8 +254,6 @@ func runSweep(base string, args []string) error {
 		MaxCycles:    *maxCycles,
 		ForkPrefix:   *forkPrefix,
 		WarmupCycles: *warmup,
-		Batch:        *batch,
-		BatchSize:    *batchSize,
 	}
 	var err error
 	if sw.IWs, err = splitInts(*iws); err != nil {
@@ -390,10 +386,6 @@ func runSweep(base string, args []string) error {
 		if summary.ForkGroups > 0 {
 			fmt.Printf("forked %d warm-up group(s), %d simulated cycles reused\n",
 				summary.ForkGroups, summary.ReusedCycles)
-		}
-		if summary.BatchGroups > 0 {
-			fmt.Printf("stepped %d point(s) in %d lockstep batch(es), occupancy %.2f\n",
-				summary.BatchedJobs, summary.BatchGroups, summary.BatchOccupancy)
 		}
 	} else if failed > 0 {
 		fmt.Printf("\n%d of %d points failed\n", failed, len(items))

@@ -7,7 +7,7 @@ import (
 )
 
 // TestHotPathAnnotationsRequired pins the //bow:hotpath coverage of the
-// simulator's fast paths: the lockstep stepping loop, the copy-on-write
+// simulator's fast paths: the device's per-cycle step, the copy-on-write
 // memory read path, and the cycle loop's issue, writeback and window
 // engine calls must stay under the hotpathalloc pass. TestRepositoryClean proves annotated functions are clean; this
 // test proves the annotations themselves cannot be silently dropped —
@@ -15,7 +15,7 @@ import (
 // guarantee.
 func TestHotPathAnnotationsRequired(t *testing.T) {
 	required := map[string][]string{
-		"bow/internal/gpu":  {"(*Device).step", "(*Batch).tick"},
+		"bow/internal/gpu":  {"(*Device).step"},
 		"bow/internal/mem":  {"(*Memory).lookup", "(*Memory).Read32"},
 		"bow/internal/sm":   {"(*SM).Cycle", "(*SM).issue", "(*SM).issueInstruction", "(*SM).writeback"},
 		"bow/internal/core": {"(*Engine).Advance", "(*Engine).Writeback"},

@@ -30,6 +30,9 @@ import (
 // Value is one warp-wide register value (32 lanes × 32 bits).
 type Value [isa.WarpSize]uint32
 
+// ValueBytes is the encoded size of one Value in a snapshot.
+const ValueBytes = 4 * isa.WarpSize
+
 // Policy selects the write-back behaviour of the window (paper §IV).
 type Policy uint8
 

@@ -84,7 +84,8 @@ func (e *Engine) LoadState(dec *snap.Decoder) {
 	e.seq = dec.I64()
 	e.interval = int32(dec.I64())
 	e.stats.LoadState(dec)
-	n := int(dec.U32())
+	// reg, value, lastAccess, dirty, hint, cancelWB, pending.
+	n := dec.Count(1 + ValueBytes + 8 + 4)
 	if dec.Err() != nil {
 		return
 	}

@@ -234,31 +234,9 @@ const (
 	stepDone
 )
 
-// normalizeMaxCycles resolves the caller's bound to the default.
-func normalizeMaxCycles(maxCycles int64) int64 {
-	if maxCycles <= 0 {
-		return defaultMaxCycles
-	}
-	return maxCycles
-}
-
-// propagateCapture pushes the device-level observation switches down
-// to the SMs; run loops call it once before stepping.
-func (d *Device) propagateCapture() {
-	for _, s := range d.sms {
-		s.CaptureRegs = d.CaptureRegs
-		s.CaptureTrace = d.CaptureTrace
-		s.Tracer = d.Tracer
-	}
-}
-
 // step advances the device by exactly one cycle: CTA dispatch, one
-// clock on every busy SM, and the cycle/limit bookkeeping. It is the
-// shared core of the single-device run loop and the lockstep batch
-// loop (Batch), which interleaves steps of many devices on one
-// goroutine. Devices are fully independent, so interleaving cannot
-// change any device's result — the batch differential suite pins
-// this bit-for-bit.
+// clock on every busy SM, and the cycle/limit bookkeeping. run calls
+// it once per simulated cycle.
 //
 //bow:hotpath
 func (d *Device) step(maxCycles, until int64) (stepState, error) {
@@ -303,8 +281,15 @@ func (d *Device) runawayErr(maxCycles int64) error {
 }
 
 func (d *Device) run(ctx context.Context, maxCycles, until int64) (*Result, bool, error) {
-	maxCycles = normalizeMaxCycles(maxCycles)
-	d.propagateCapture()
+	if maxCycles <= 0 {
+		maxCycles = defaultMaxCycles
+	}
+	// Push the device-level observation switches down to the SMs.
+	for _, s := range d.sms {
+		s.CaptureRegs = d.CaptureRegs
+		s.CaptureTrace = d.CaptureTrace
+		s.Tracer = d.Tracer
+	}
 	for {
 		st, err := d.step(maxCycles, until)
 		if err != nil {

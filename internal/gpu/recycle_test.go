@@ -204,3 +204,40 @@ func TestRecycledForkedRestore(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledAfterCycleLimit: a device killed by a 10-cycle bound dies
+// with its pipeline full of in-flight instructions and pending events,
+// and its carcass must still reset clean — the successor built from it
+// runs bit-identically to a solo run on fresh components.
+func TestRecycledAfterCycleLimit(t *testing.T) {
+	l := newRecycleLauncher(t, "SAD")
+	base := core.Config{Policy: core.PolicyBaseline}
+	fresh, fm := l.build(base, nil, false)
+	want := l.run(fresh, fm, base)
+	dead, _ := l.build(base, nil, false)
+	if _, err := dead.Run(10); err == nil {
+		t.Fatal("10-cycle bound did not fail")
+	}
+	d, m := l.build(base, dead.Salvage(), false)
+	if got := l.run(d, m, base); !reflect.DeepEqual(got, want) {
+		t.Error("successor built from an errored carcass diverges from a fresh device")
+	}
+}
+
+// TestRecycledChain threads one carcass through the whole roster: each
+// device is built from its predecessor's carcass — itself recycled, so
+// the storage is re-laundered generation after generation, as the
+// engine's pool does — and every one must match a fresh device.
+func TestRecycledChain(t *testing.T) {
+	l := newRecycleLauncher(t, "VECTORADD")
+	var sv *Salvage
+	for _, b := range recycleRoster {
+		fresh, fm := l.build(b, nil, false)
+		want := l.run(fresh, fm, b)
+		d, m := l.build(b, sv, false)
+		if got := l.run(d, m, b); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: device recycled down the chain diverges from a fresh one", rosterName(b))
+		}
+		sv = d.Salvage()
+	}
+}

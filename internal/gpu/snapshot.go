@@ -43,6 +43,23 @@ func (d *Device) KernelHash() string { return d.kernel.StateHash() }
 // in the header so the snapshot is self-describing. Returns the content
 // hash of the written stream.
 func (d *Device) Snapshot(w io.Writer, specJSON []byte) (string, error) {
+	payload, err := d.payload()
+	if err != nil {
+		return "", fmt.Errorf("gpu: snapshot: %w", err)
+	}
+	h := snap.Header{
+		Version:    snap.FormatVersion,
+		Cycle:      d.cycles,
+		ConfigHash: d.ConfigHash(),
+		KernelHash: d.KernelHash(),
+		SpecJSON:   specJSON,
+	}
+	return snap.Encode(w, h, payload)
+}
+
+// payload encodes the device state: the sections a snapshot stream
+// frames behind its header.
+func (d *Device) payload() ([]byte, error) {
 	enc := snap.NewEncoder()
 	enc.Section(secDevice)
 	enc.Int(d.nextCTA)
@@ -55,18 +72,7 @@ func (d *Device) Snapshot(w io.Writer, specJSON []byte) (string, error) {
 		enc.Section(secSMBase + uint32(i))
 		s.SaveState(enc)
 	}
-	payload, err := enc.Bytes()
-	if err != nil {
-		return "", fmt.Errorf("gpu: snapshot: %w", err)
-	}
-	h := snap.Header{
-		Version:    snap.FormatVersion,
-		Cycle:      d.cycles,
-		ConfigHash: d.ConfigHash(),
-		KernelHash: d.KernelHash(),
-		SpecJSON:   specJSON,
-	}
-	return snap.Encode(w, h, payload)
+	return enc.Bytes()
 }
 
 // Restore loads a snapshot stream into a freshly constructed device.

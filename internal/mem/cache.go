@@ -65,9 +65,8 @@ func (c *Cache) Geometry() CacheGeometry {
 // Reset invalidates every line and zeroes the counters, restoring the
 // cache to its freshly-constructed state without giving up the tag and
 // LRU storage. A reset cache is observationally identical to a
-// NewCache with the same geometry — the batch sweep path recycles
-// cache models across sequentially-run sweep points on the strength of
-// that equivalence.
+// NewCache with the same geometry — the engine's carcass pool recycles
+// cache models across runs on the strength of that equivalence.
 func (c *Cache) Reset() {
 	for _, set := range c.tags {
 		for i := range set {

@@ -234,8 +234,7 @@ func TestCoalesceProperty(t *testing.T) {
 
 // TestCacheResetMatchesFresh dirties a cache, Resets it, and demands
 // behavior indistinguishable from a newly built cache with the same
-// geometry — the equivalence the batch sweep's device recycling rests
-// on.
+// geometry — the equivalence the engine's device recycling rests on.
 func TestCacheResetMatchesFresh(t *testing.T) {
 	drive := func(c *Cache) (int64, int64) {
 		for i := 0; i < 64; i++ {

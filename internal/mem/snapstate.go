@@ -39,7 +39,7 @@ func (m *Memory) LoadState(dec *snap.Decoder) {
 	m.pages = make(map[uint32]*[pageWords]uint32)
 	m.base = nil
 	m.last, m.lastPage, m.lastRO = nil, ^uint32(0), false
-	n := int(dec.U32())
+	n := dec.Count(4 + 4*pageWords) // page number, page words
 	for i := 0; i < n; i++ {
 		pn := dec.U32()
 		p := new([pageWords]uint32)

@@ -270,9 +270,9 @@ func New(cfg Config) (*File, error) {
 // registers, empty bank queues, empty delay line, zeroed counters —
 // while keeping every backing allocation (value store, ring buffers,
 // bitmap). A reset file is observationally identical to New(f.Config())
-// output: the batch sweep path recycles register files across
-// sequentially-run sweep points on the strength of that equivalence,
-// and the batch differential suite checks it end to end. Ring entries
+// output: the engine's carcass pool recycles register files across
+// runs on the strength of that equivalence, and the gpu recycling
+// suite checks it end to end. Ring entries
 // are cleared (not just truncated) so stale ReadCallback/ReadSink
 // references from an aborted run cannot retain a dead simulation.
 func (f *File) Reset() {

@@ -133,7 +133,7 @@ func TestPeekPoke(t *testing.T) {
 // then Resets it and demands it be indistinguishable from a new file:
 // zero registers, zero stats, no pending work, and a replayed traffic
 // pattern producing the exact same stats and delivery timing. The
-// batch sweep recycles register files across sweep points on this
+// engine's carcass pool recycles register files across runs on this
 // equivalence.
 type sinkFunc func(reg uint8, val *core.Value)
 

@@ -138,7 +138,7 @@ func (f *File) LoadState(dec *snap.Decoder, sink SinkLookup) {
 		bk := &f.banks[i]
 		bk.reads = readRing{}
 		bk.writes = writeRing{}
-		nr := int(dec.U32())
+		nr := dec.Count(4 + 1 + 8 + 4) // warp, reg, queued, sink id
 		for j := 0; j < nr; j++ {
 			var req readReq
 			req.warp = dec.I32()
@@ -150,7 +150,7 @@ func (f *File) LoadState(dec *snap.Decoder, sink SinkLookup) {
 			}
 			bk.reads.push(req)
 		}
-		nw := int(dec.U32())
+		nw := dec.Count(4 + 1 + 8 + core.ValueBytes) // warp, reg, queued, value
 		for j := 0; j < nw; j++ {
 			sl := bk.writes.pushSlot()
 			sl.warp = dec.I32()
@@ -166,7 +166,7 @@ func (f *File) LoadState(dec *snap.Decoder, sink SinkLookup) {
 		}
 	}
 	f.delay = servedRing{}
-	nd := int(dec.U32())
+	nd := dec.Count(8 + 1 + core.ValueBytes + 4) // readyAt, reg, value, sink id
 	for j := 0; j < nd; j++ {
 		sl := f.delay.pushSlot()
 		sl.readyAt = dec.I64()

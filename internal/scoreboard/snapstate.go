@@ -35,7 +35,7 @@ func (s *Board) SaveState(enc *snap.Encoder) {
 // LoadState restores hazard state written by SaveState into a board of
 // the same warp count.
 func (s *Board) LoadState(dec *snap.Decoder) {
-	n := int(dec.U32())
+	n := dec.Count(1 + 4) // at least pendingPred and the pair count
 	if dec.Err() != nil {
 		return
 	}
@@ -49,7 +49,7 @@ func (s *Board) LoadState(dec *snap.Decoder) {
 		}
 		s.pendingPred[w] = dec.U8()
 		s.pendingRead[w] = [256]int{}
-		pairs := int(dec.U32())
+		pairs := dec.Count(1 + 8) // reg, count
 		for p := 0; p < pairs; p++ {
 			r := dec.U8()
 			c := dec.Int()

@@ -67,12 +67,6 @@ type Engine struct {
 	queued, running, done, failed, retries int64
 	peerHits, peerMisses                   int64
 	latencyUS                              *stats.Histogram
-
-	// Lockstep batch counters (guarded by mu): batches stepped, jobs
-	// they carried, and slot-tick/device-cycle totals whose ratio is
-	// the aggregate lockstep occupancy.
-	batchGroups, batchJobs         int64
-	batchSlotTicks, batchDevCycles int64
 }
 
 // job is one queued unit of work, fanned out to every ticket waiting

@@ -32,13 +32,6 @@ type Metrics struct {
 	ArtifactHits   int64 `json:"artifactHits"`
 	ArtifactMisses int64 `json:"artifactMisses"`
 
-	// Lockstep batch stepping: batches run, jobs they carried, and the
-	// aggregate slot occupancy (device-cycles per slot-tick; 1.0 means
-	// batches never drained into a straggler tail).
-	BatchGroups    int64   `json:"batchGroups,omitempty"`
-	BatchJobs      int64   `json:"batchJobs,omitempty"`
-	BatchOccupancy float64 `json:"batchOccupancy,omitempty"`
-
 	// Device builds by kind: fresh (a whole chip allocated) or recycled
 	// from a carcass in the engine's pool. Their ratio is the pool's hit
 	// rate on the traffic's mix of GPU geometries.
@@ -80,13 +73,8 @@ func (e *Engine) Metrics() Metrics {
 		PeerFillMisses:   e.peerMisses,
 		ArtifactHits:     ahits,
 		ArtifactMisses:   amisses,
-		BatchGroups:      e.batchGroups,
-		BatchJobs:        e.batchJobs,
 		P50LatencyMicros: e.latencyUS.Quantile(0.50),
 		P99LatencyMicros: e.latencyUS.Quantile(0.99),
-	}
-	if e.batchSlotTicks > 0 {
-		m.BatchOccupancy = float64(e.batchDevCycles) / float64(e.batchSlotTicks)
 	}
 	e.mu.Unlock()
 	m.CacheEntries = e.cache.Len()

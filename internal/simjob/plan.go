@@ -9,16 +9,15 @@ import (
 // explicit sweepPlan — unique points, cache hits, and the steps that
 // will simulate the rest — without simulating anything. RunSweep then
 // executes the plan in one loop: one Workers-sized semaphore for the
-// fork and batch steps, the engine's pool for cold points and for
-// every point a step hands back, and one place that turns per-point
-// results into expansion-ordered SweepItems.
+// fork steps, the engine's pool for cold points and for every point a
+// fork step hands back, and one place that turns per-point results
+// into expansion-ordered SweepItems.
 
 // sweepClass identifies sweep points that can share work: same
 // benchmark, same machine shape, same cycle bound. The window
 // configuration (policy, IW, capacity) is deliberately absent — it is
 // what varies inside a class. A fork step shares one baseline warm-up
-// across the class; a batch step shares one prepared kernel and one
-// stepping goroutine.
+// across the class.
 type sweepClass struct {
 	Bench     string
 	SMs       int
@@ -38,8 +37,6 @@ const (
 	// stepFork simulates the class's warm-up once and forks every
 	// point from its snapshot.
 	stepFork
-	// stepBatch steps a chunk of the class as one gpu.Batch.
-	stepBatch
 )
 
 // sweepStep is one unit of a plan: a kind and the unique points (indices
@@ -61,13 +58,11 @@ type sweepPlan struct {
 
 // planSweep expands and deduplicates the sweep, probes the cache once
 // per unique point, and groups the misses into steps. With ForkPrefix,
-// each class of two or more points becomes one fork step; with Batch,
-// each such class is chunked into batch steps of at most BatchSize
-// points (a trailing singleton chunk gains nothing from lockstep and
-// runs cold). Everything else lands in a single cold step. Every
-// expanded point can join a step: a SweepSpec cannot ask for what a
-// step cannot do cold or restore into (FromCheckpoint, Reorder, Trace,
-// ReferenceLoop).
+// each class of two or more points becomes one fork step. Everything
+// else lands in a single cold step; Batch and BatchSize are ignored.
+// Every expanded point can join a step: a SweepSpec cannot ask for
+// what a step cannot do cold or restore into (FromCheckpoint, Reorder,
+// Trace, ReferenceLoop).
 func (e *Engine) planSweep(ctx context.Context, sw SweepSpec) (*sweepPlan, error) {
 	points, index, err := sw.ExpandHashed()
 	if err != nil {
@@ -77,12 +72,6 @@ func (e *Engine) planSweep(ctx context.Context, sw SweepSpec) (*sweepPlan, error
 	if p.warmup <= 0 {
 		p.warmup = DefaultWarmupCycles
 	}
-	size := sw.BatchSize
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	shared := sw.ForkPrefix || sw.Batch
-
 	var cold []int
 	groups := make(map[sweepClass][]int)
 	var order []sweepClass
@@ -91,7 +80,7 @@ func (e *Engine) planSweep(ctx context.Context, sw SweepSpec) (*sweepPlan, error
 			p.hits[u] = out
 			continue
 		}
-		if !shared {
+		if !sw.ForkPrefix {
 			cold = append(cold, u)
 			continue
 		}
@@ -102,22 +91,10 @@ func (e *Engine) planSweep(ctx context.Context, sw SweepSpec) (*sweepPlan, error
 		groups[c] = append(groups[c], u)
 	}
 	for _, c := range order {
-		idxs := groups[c]
-		switch {
-		case len(idxs) < 2:
+		if idxs := groups[c]; len(idxs) < 2 {
 			cold = append(cold, idxs...)
-		case sw.ForkPrefix:
+		} else {
 			p.steps = append(p.steps, sweepStep{kind: stepFork, points: idxs})
-		default:
-			for len(idxs) > size {
-				p.steps = append(p.steps, sweepStep{kind: stepBatch, points: idxs[:size]})
-				idxs = idxs[size:]
-			}
-			if len(idxs) == 1 {
-				cold = append(cold, idxs[0])
-			} else {
-				p.steps = append(p.steps, sweepStep{kind: stepBatch, points: idxs})
-			}
 		}
 	}
 	if len(cold) > 0 {
@@ -145,7 +122,7 @@ type sweepRun struct {
 	e    *Engine
 	ctx  context.Context
 	plan *sweepPlan
-	sem  chan struct{} // bounds concurrent fork and batch work to Workers
+	sem  chan struct{} // bounds concurrent fork work to Workers
 	wg   sync.WaitGroup
 
 	// Each index of results and tickets is written by exactly one
@@ -153,21 +130,17 @@ type sweepRun struct {
 	results []pointResult
 	tickets []*Ticket
 
-	mu  sync.Mutex // guards res's fork and batch totals
+	mu  sync.Mutex // guards res's fork totals
 	res *SweepResult
-	// slotTicks and devCycles are the batch steps' occupancy totals
-	// (guarded by mu).
-	slotTicks, devCycles int64
 }
 
 // RunSweep plans the sweep and runs the plan, collecting results in
-// expansion order. Cache hits are served as planned; fork and batch
-// steps run concurrently on a Workers-sized semaphore; cold points —
-// and any point a step hands back (a warm-up that failed or finished
-// the kernel, a batch that faulted) — run as ordinary engine jobs with
-// single-flight, peer fill, retries, and spans. Individual point
-// failures are reported inline; only expansion errors fail the sweep
-// as a whole.
+// expansion order. Cache hits are served as planned; fork steps run
+// concurrently on a Workers-sized semaphore; cold points — and any
+// point a fork step hands back (a warm-up that failed or finished the
+// kernel) — run as ordinary engine jobs with single-flight, peer fill,
+// retries, and spans. Individual point failures are reported inline;
+// only expansion errors fail the sweep as a whole.
 func (e *Engine) RunSweep(ctx context.Context, sw SweepSpec) (*SweepResult, error) {
 	plan, err := e.planSweep(ctx, sw)
 	if err != nil {
@@ -196,16 +169,9 @@ func (e *Engine) RunSweep(ctx context.Context, sw SweepSpec) (*SweepResult, erro
 		case stepFork:
 			r.wg.Add(1)
 			go r.fork(st.points)
-		case stepBatch:
-			r.wg.Add(1)
-			go r.batch(st.points)
 		}
 	}
 	r.wg.Wait()
-	if r.slotTicks > 0 {
-		r.res.BatchOccupancy = float64(r.devCycles) / float64(r.slotTicks)
-	}
-	e.noteBatches(int64(r.res.BatchGroups), int64(r.res.BatchedJobs), r.slotTicks, r.devCycles)
 
 	for u, t := range r.tickets {
 		if t != nil {

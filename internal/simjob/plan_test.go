@@ -3,6 +3,9 @@ package simjob
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,25 +53,23 @@ func plannerOracle(t *testing.T) ([]JobSpec, []string, map[string]*Outcome) {
 	return specs, hashes, oracle
 }
 
-// runPlannerGrid runs plannerGrid through one sweep mode on a fresh
-// engine and checks each item against the oracle expansion: item i must
-// answer expansion point i and carry the mode's Cached marker. Plain
-// and batched items must match the per-job Execute in CanonicalJSON;
-// forked items are warm-up approximations, so they must instead pass
-// their functional checks and carry the reused warm-up cycles.
-func runPlannerGrid(t *testing.T, batch, fork bool) (*Engine, *SweepResult, map[string]*Outcome) {
+// runPlannerGrid runs sw, a variant of plannerGrid that may set the
+// fork or the deprecated batch fields, on a fresh engine and checks
+// each item against the oracle expansion: item i must answer expansion
+// point i and carry the mode's Cached marker. Plain items must match
+// the per-job Execute in CanonicalJSON; forked items are warm-up
+// approximations, so they must instead pass their functional checks
+// and carry the reused warm-up cycles.
+func runPlannerGrid(t *testing.T, sw SweepSpec) (*Engine, *SweepResult, map[string]*Outcome) {
 	t.Helper()
 	specs, hashes, oracle := plannerOracle(t)
+	fork := sw.ForkPrefix
 	cachedAs := ""
-	switch {
-	case batch:
-		cachedAs = "batched"
-	case fork:
+	if fork {
 		cachedAs = "forked"
 	}
 	e := newTestEngine(t, Options{Workers: 2})
-	sw := plannerGrid
-	sw.Batch, sw.ForkPrefix, sw.WarmupCycles = batch, fork, plannerWarmup
+	sw.WarmupCycles = plannerWarmup
 	res, err := e.RunSweep(context.Background(), sw)
 	if err != nil {
 		t.Fatal(err)
@@ -107,45 +108,106 @@ func runPlannerGrid(t *testing.T, batch, fork bool) (*Engine, *SweepResult, map[
 	return e, res, oracle
 }
 
-// TestBatchSweepDifferential proves lockstep batch execution is exact:
-// every point of the grid, run through a Batch sweep, must produce a
-// result whose canonical encoding matches an independent per-job
-// Execute of the same spec, and whose full gpu.Result, cached under the
-// cold hash, is identical to the per-job simulator output.
+// TestBatchSweepDifferential proves a sweep carrying the deprecated
+// Batch and BatchSize fields is exact: every point of the grid must
+// produce a result whose canonical encoding matches an independent
+// per-job Execute of the same spec, and whose full gpu.Result, cached
+// under the cold hash, is identical to the per-job simulator output.
 func TestBatchSweepDifferential(t *testing.T) {
-	e, res, oracle := runPlannerGrid(t, true, false)
-	if res.BatchGroups != 3 || res.BatchedJobs != 24 {
-		t.Errorf("batch groups=%d jobs=%d, want 3, 24", res.BatchGroups, res.BatchedJobs)
-	}
-	if res.BatchOccupancy <= 0 || res.BatchOccupancy > 1 {
-		t.Errorf("occupancy %v out of range", res.BatchOccupancy)
+	sw := plannerGrid
+	sw.Batch, sw.BatchSize = true, 4
+	e, res, oracle := runPlannerGrid(t, sw)
+	if res.BatchOccupancy != 0 {
+		t.Errorf("occupancy %v, want 0: no point runs in a batch", res.BatchOccupancy)
 	}
 	for h, o := range oracle {
 		cached, ok := e.Cache().Get(h, true)
 		if !ok || !reflect.DeepEqual(cached.Full, o.Full) {
-			t.Errorf("%s/%s iw=%d: batched full gpu.Result missing or divergent",
+			t.Errorf("%s/%s iw=%d: full gpu.Result missing or divergent",
 				o.Spec.Bench, o.Spec.Policy, o.Spec.IW)
 		}
 	}
 }
 
-// TestBatchSweepMatchesPlainSweep runs the same grid through the plain
-// sweep and the batched sweep on separate engines; each item of both
-// matches the per-job oracle, and the two sweeps match each other item
-// by item — the end-to-end twin of the device-level differential.
-func TestBatchSweepMatchesPlainSweep(t *testing.T) {
-	_, plain, _ := runPlannerGrid(t, false, false)
-	_, batched, _ := runPlannerGrid(t, true, false)
-	if plain.Failed > 0 || batched.Failed > 0 {
-		t.Fatalf("failures: plain=%d batched=%d", plain.Failed, batched.Failed)
+// TestBatchSweepServesCacheHits proves a second sweep carrying the
+// deprecated Batch field is answered from the result cache without
+// simulating any point.
+func TestBatchSweepServesCacheHits(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 2})
+	sw := SweepSpec{Benches: []string{"VECTORADD"}, Policies: []string{PolicyBOWWT}, IWs: []int{2, 3, 4}, Batch: true}
+	first, err := e.RunSweep(context.Background(), sw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range plain.Items {
-		p, b := plain.Items[i], batched.Items[i]
+	for _, it := range first.Items {
+		if it.Error != "" || it.Cached != "" {
+			t.Fatalf("%s iw=%d: first sweep served %q (error %q), want a simulation",
+				it.Spec.Bench, it.Spec.IW, it.Cached, it.Error)
+		}
+	}
+	second, err := e.RunSweep(context.Background(), sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(second.Items) != 3 {
+		t.Fatalf("second sweep has %d items, want 3", len(second.Items))
+	}
+	for _, it := range second.Items {
+		if it.Cached != "memory" {
+			t.Fatalf("%s iw=%d served %q, want memory hit", it.Spec.Bench, it.Spec.IW, it.Cached)
+		}
+	}
+}
+
+// TestBatchSweepMatchesPlainSweep pins wire compatibility for the
+// deprecated Batch and BatchSize fields: a /sweep request carrying them
+// over plannerGrid is accepted and answered exactly like the plain
+// sweep — item by item in CanonicalJSON and in Cached markers — and a
+// repeat is served from the memory tier.
+func TestBatchSweepMatchesPlainSweep(t *testing.T) {
+	_, plain, _ := runPlannerGrid(t, plannerGrid)
+	srv := httptest.NewServer(NewServer(newTestEngine(t, Options{Workers: 2})))
+	defer srv.Close()
+	sw := plannerGrid
+	sw.Batch, sw.BatchSize = true, 4
+	body, err := json.Marshal(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"batch":true,"batchSize":4`)) {
+		t.Fatalf("request does not carry the deprecated fields: %s", body)
+	}
+	post := func() *SweepResult {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200", resp.StatusCode)
+		}
+		var res SweepResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed > 0 || len(res.Items) != len(plain.Items) {
+			t.Fatalf("failed=%d items=%d, want 0, %d", res.Failed, len(res.Items), len(plain.Items))
+		}
+		return &res
+	}
+	for i, b := range post().Items {
+		p := plain.Items[i]
 		pj, _ := p.Result.CanonicalJSON()
 		bj, _ := b.Result.CanonicalJSON()
-		if !bytes.Equal(pj, bj) {
-			t.Errorf("%s/%s iw=%d: plain and batched sweeps diverge",
-				p.Spec.Bench, p.Spec.Policy, p.Spec.IW)
+		if !bytes.Equal(pj, bj) || b.Cached != p.Cached {
+			t.Errorf("%s/%s iw=%d: batch request diverges from the plain sweep (cached %q vs %q)",
+				p.Spec.Bench, p.Spec.Policy, p.Spec.IW, b.Cached, p.Cached)
+		}
+	}
+	for _, it := range post().Items {
+		if it.Cached != "memory" {
+			t.Errorf("%s/%s iw=%d: repeat served %q, want memory", it.Spec.Bench, it.Spec.Policy, it.Spec.IW, it.Cached)
 		}
 	}
 }
@@ -155,7 +217,9 @@ func TestBatchSweepMatchesPlainSweep(t *testing.T) {
 // snapshot, with the reuse accounted in both the sweep summary and the
 // per-item results, and no forked result cached under the cold hash.
 func TestRunSweepForked(t *testing.T) {
-	e, res, oracle := runPlannerGrid(t, false, true)
+	sw := plannerGrid
+	sw.ForkPrefix = true
+	e, res, oracle := runPlannerGrid(t, sw)
 	// One fork group per bench, each of 8 unique points: the warm-up ran
 	// once instead of 8 times.
 	if res.ForkGroups != 3 || res.ReusedCycles != 3*plannerWarmup*(8-1) {
@@ -173,7 +237,8 @@ func TestRunSweepForked(t *testing.T) {
 // TestPlanSweep checks the planner's steps against a pre-seeded cache
 // without simulating anything: hits are served as planned, each cold
 // point costs exactly one cache miss, and the misses group into fork
-// steps, batch chunks, or the cold step by mode.
+// steps or the cold step by mode. The deprecated Batch and BatchSize
+// fields plan exactly like a plain sweep.
 func TestPlanSweep(t *testing.T) {
 	base := SweepSpec{
 		Benches:  []string{"SAD", "LIB", "VECTORADD"},
@@ -199,13 +264,10 @@ func TestPlanSweep(t *testing.T) {
 			{stepCold, []int{lib + 4}},
 		}},
 		{"batch-chunked", func(sw *SweepSpec) { sw.Batch, sw.BatchSize = true, 3 }, []sweepStep{
-			{stepBatch, []int{sad, sad + 1, sad + 2}},
-			{stepBatch, []int{sad + 3, sad + 4}},
-			{stepCold, []int{lib + 4}},
+			{stepCold, []int{sad, sad + 1, sad + 2, sad + 3, sad + 4, lib + 4}},
 		}},
 		{"batch-singleton-tail", func(sw *SweepSpec) { sw.Batch, sw.BatchSize = true, 4 }, []sweepStep{
-			{stepBatch, []int{sad, sad + 1, sad + 2, sad + 3}},
-			{stepCold, []int{sad + 4, lib + 4}},
+			{stepCold, []int{sad, sad + 1, sad + 2, sad + 3, sad + 4, lib + 4}},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -256,7 +318,8 @@ func TestPlanSweep(t *testing.T) {
 	}
 }
 
-// sweepModes runs a sweep once per mode on a fresh engine.
+// sweepModes runs a sweep once per mode on a fresh engine. The batch
+// mode sets the deprecated Batch fields, which must change nothing.
 func sweepModes(t *testing.T, opts Options, sw SweepSpec, check func(t *testing.T, e *Engine, res *SweepResult)) {
 	t.Helper()
 	for _, mode := range []struct {
@@ -266,7 +329,10 @@ func sweepModes(t *testing.T, opts Options, sw SweepSpec, check func(t *testing.
 		t.Run(mode.name, func(t *testing.T) {
 			e := newTestEngine(t, opts)
 			s := sw
-			s.Batch, s.ForkPrefix = mode.batch, mode.fork
+			s.ForkPrefix = mode.fork
+			if mode.batch {
+				s.Batch, s.BatchSize = true, 4
+			}
 			res, err := e.RunSweep(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
@@ -277,8 +343,8 @@ func sweepModes(t *testing.T, opts Options, sw SweepSpec, check func(t *testing.
 }
 
 // TestSweepTimeoutEveryMode: Options.Timeout bounds every simulation a
-// sweep starts — engine jobs, fork warm-ups and forked points, lockstep
-// chunks — so an unmeetable timeout fails every point in every mode.
+// sweep starts — engine jobs, fork warm-ups and forked points — so an
+// unmeetable timeout fails every point in every mode.
 func TestSweepTimeoutEveryMode(t *testing.T) {
 	sw := SweepSpec{
 		Benches:      []string{"SAD"},
@@ -297,7 +363,7 @@ func TestSweepTimeoutEveryMode(t *testing.T) {
 // unique point and cold points are never probed again on their way
 // into the engine, so misses equal the unique cold points in every
 // mode — for singleton classes that run cold and for classes that
-// fork or batch.
+// fork.
 func TestSweepCacheMissesOncePerPoint(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -15,7 +15,7 @@ import (
 
 // carcassPool is an engine's store of retired device carcasses, and
 // the only way a device gets recycled: every device the engine builds
-// — worker jobs, forked warm-ups and resumes, batched chunks — takes a
+// — worker jobs, cold sweep points, forked warm-ups and resumes — takes a
 // matching carcass from the pool, and every device it retires goes
 // back. A carcass matches a build on exact config.GPU equality
 // (gpu.Salvage.Fits, NewSalvaged's own test). The pool holds at most

@@ -45,11 +45,6 @@ func (s *Server) WritePrometheus(w io.Writer) {
 
 	promCounter(w, "bow_artifact_hits_total", "Shared-artifact cache hits (prepared kernels and memory images reused).", m.ArtifactHits)
 	promCounter(w, "bow_artifact_misses_total", "Shared-artifact cache misses (artifacts built).", m.ArtifactMisses)
-	promCounter(w, "bow_batch_groups_total", "Lockstep batches stepped to completion.", m.BatchGroups)
-	promCounter(w, "bow_batch_jobs_total", "Sweep points simulated inside lockstep batches.", m.BatchJobs)
-	fmt.Fprintf(w, "# HELP bow_batch_occupancy Mean fraction of batch slots live per lockstep tick.\n")
-	fmt.Fprintf(w, "# TYPE bow_batch_occupancy gauge\n")
-	fmt.Fprintf(w, "bow_batch_occupancy %g\n", m.BatchOccupancy)
 
 	fmt.Fprintf(w, "# HELP bow_device_builds_total Devices built for simulations, by kind: fresh, or recycled from the engine's carcass pool.\n")
 	fmt.Fprintf(w, "# TYPE bow_device_builds_total counter\n")

@@ -35,14 +35,16 @@ type SweepSpec struct {
 	// within the warm-up fall back to cold runs.
 	WarmupCycles int64 `json:"warmupCycles,omitempty"`
 
-	// Batch turns on lockstep multi-config stepping: points sharing a
-	// sweep class are stepped on a single goroutine, sharing the
-	// prepared kernel and amortizing instruction-stream locality.
-	// Unlike ForkPrefix this is exact — results are bit-identical to
-	// per-job runs and cacheable. ForkPrefix takes precedence when both
-	// are set.
+	// Batch is accepted and ignored: every point that is not forked
+	// runs as its own engine job.
+	//
+	// Deprecated: lockstep batching was removed (it never beat plain
+	// runs); the field stays so existing /sweep clients still decode
+	// under DisallowUnknownFields.
 	Batch bool `json:"batch,omitempty"`
-	// BatchSize caps one lockstep group (0 = DefaultBatchSize).
+	// BatchSize is accepted and ignored, like Batch.
+	//
+	// Deprecated: kept for wire compatibility, like Batch.
 	BatchSize int `json:"batchSize,omitempty"`
 }
 
@@ -148,12 +150,10 @@ type SweepResult struct {
 	ForkGroups   int   `json:"forkGroups,omitempty"`
 	ReusedCycles int64 `json:"reusedCycles,omitempty"`
 
-	// BatchGroups counts the lockstep batches stepped, BatchedJobs the
-	// points they simulated, and BatchOccupancy the mean fraction of
-	// batch slots live per tick (1.0 = no straggler tail). Zero on
-	// plain sweeps.
-	BatchGroups    int     `json:"batchGroups,omitempty"`
-	BatchedJobs    int     `json:"batchedJobs,omitempty"`
+	// BatchOccupancy is always 0, so it is omitted from the JSON.
+	//
+	// Deprecated: lockstep batching was removed; the field stays for
+	// callers that still read it.
 	BatchOccupancy float64 `json:"batchOccupancy,omitempty"`
 }
 

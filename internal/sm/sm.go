@@ -303,8 +303,8 @@ func (s *SM) buildEngines() error {
 // histograms. The window engines — the one per-warp component shaped
 // by the window policy — are reset in place too, their entry slabs
 // growing only when the new window needs more. A reset SM behaves
-// bit-identically to one built by New; the batch differential suite
-// holds the recycled path to that standard. The previous run may have
+// bit-identically to one built by New; the gpu recycling suite holds
+// the recycled path to that standard. The previous run may have
 // ended early (cycle-limit error): in-flight instructions are dropped
 // and every pending event is drained, so even a dirty SM resets clean.
 func (s *SM) Reset(bcfg core.Config, kernel *Kernel, global *mem.Memory) error {

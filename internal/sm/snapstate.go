@@ -396,6 +396,12 @@ func (s *SM) saveCaptureMaps(enc *snap.Encoder) {
 	}
 }
 
+// inflightMinBytes is the encoded size of an in-flight record with an
+// empty delivery ring: pc, slot, seq, execMask, three cycle stamps, the
+// source and old-destination values, predSrc, outstanding, ready, and
+// the ring length.
+const inflightMinBytes = 8 + 8 + 8 + 4 + 3*8 + (isa.MaxSrcOperands+1)*core.ValueBytes + 4 + 8 + 1 + 1
+
 // LoadState restores pipeline state written by SaveState into a freshly
 // constructed SM of the same configuration (same kernel, chip config,
 // and scheduler partitioning).
@@ -411,7 +417,7 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 	s.freeWarpSlots = dec.Int()
 	s.freeTBSlots = dec.Int()
 
-	n := int(dec.U32())
+	n := dec.Count(inflightMinBytes)
 	if dec.Err() != nil {
 		return
 	}
@@ -500,7 +506,7 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 		for p := range w.preds {
 			w.preds[p] = dec.U32()
 		}
-		frames := int(dec.U32())
+		frames := dec.Count(8 + 8 + 4) // pc, rpc, mask
 		if dec.Err() != nil {
 			return
 		}
@@ -512,7 +518,7 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 			fr.mask = dec.U32()
 			w.stack = append(w.stack, fr)
 		}
-		nc := int(dec.U32())
+		nc := dec.Count(4) // in-flight id
 		if dec.Err() != nil {
 			return
 		}
@@ -528,7 +534,7 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 			}
 			w.collectors = append(w.collectors, f)
 		}
-		nfw := int(dec.U32())
+		nfw := dec.Count(1 + 4) // reg, in-flight id
 		if dec.Err() != nil {
 			return
 		}
@@ -552,13 +558,13 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 	}
 
 	s.ctas = make(map[int]*ctaWork)
-	cn := int(dec.U32())
+	cn := dec.Count(8 + 4 + 8 + 8 + 4) // ctaID, warp count, arrived, liveWarp, shared words
 	if dec.Err() != nil {
 		return
 	}
 	for i := 0; i < cn; i++ {
 		cta := &ctaWork{ctaID: dec.Int()}
-		nw := int(dec.U32())
+		nw := dec.Count(8) // warp slot
 		if dec.Err() != nil {
 			return
 		}
@@ -584,7 +590,7 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 	}
 
 	s.readyHead, s.readyTail = nil, nil
-	rc := int(dec.U32())
+	rc := dec.Count(4) // in-flight id
 	var prev *inflight
 	for i := 0; i < rc; i++ {
 		f := mustByID(dec.I32())
@@ -601,7 +607,7 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 		prev = f
 	}
 
-	en := int(dec.U32())
+	en := dec.Count(8 + 4 + 8 + 1 + 1 + 1 + 4 + 4 + core.ValueBytes) // at, fid, wslot, kind, isLoad, reg, mask, predOut, result
 	if dec.Err() != nil {
 		return
 	}
@@ -696,13 +702,13 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 func (s *SM) loadCaptureMaps(dec *snap.Decoder) {
 	code := s.kernel.Program.Code
 	s.RegSnapshots = make(map[[2]int][]core.Value)
-	rn := int(dec.U32())
+	rn := dec.Count(8 + 8 + 4) // key, value count
 	if dec.Err() != nil {
 		return
 	}
 	for i := 0; i < rn; i++ {
 		key := [2]int{dec.Int(), dec.Int()}
-		nv := int(dec.U32())
+		nv := dec.Count(core.ValueBytes)
 		if dec.Err() != nil {
 			return
 		}
@@ -716,13 +722,13 @@ func (s *SM) loadCaptureMaps(dec *snap.Decoder) {
 		s.RegSnapshots[key] = vals
 	}
 	s.Traces = make(map[[2]int][]*isa.Instruction)
-	tn := int(dec.U32())
+	tn := dec.Count(8 + 8 + 4) // key, pc count
 	if dec.Err() != nil {
 		return
 	}
 	for i := 0; i < tn; i++ {
 		key := [2]int{dec.Int(), dec.Int()}
-		ni := int(dec.U32())
+		ni := dec.Count(8) // pc
 		if dec.Err() != nil {
 			return
 		}

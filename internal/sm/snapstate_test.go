@@ -3,6 +3,7 @@ package sm
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bow/internal/asm"
@@ -172,7 +173,7 @@ func TestSMSnapshotMidRunDifferential(t *testing.T) {
 				t.Fatalf("policy %v snap@%d: restored state does not re-serialize identically", bcfg.Policy, snapAt)
 			}
 
-			// Continue both; they must stay in lockstep.
+			// Continue both; they must stay in step.
 			runToIdle(t, live.s, 100000)
 			runToIdle(t, restored.s, 100000)
 			liveStats, restStats := *live.s.Stats(), *restored.s.Stats()
@@ -283,5 +284,60 @@ func TestSMSnapshotRejectsReferenceLoop(t *testing.T) {
 	rig.s.SaveState(enc)
 	if _, err := enc.Bytes(); err == nil {
 		t.Fatal("reference-loop SM serialized without error")
+	}
+}
+
+// TestSMLoadStateRejectsHugeCounts: an in-flight table or capture map
+// that claims 1<<24 records its payload cannot hold fails the restore
+// before anything is sized from the count — a crafted checkpoint sent
+// to /simulate cannot exhaust the daemon's memory.
+func TestSMLoadStateRejectsHugeCounts(t *testing.T) {
+	rig := newSnapRig(t, snapLoopKernel, 1, 32, []uint32{snapIn, snapOut}, core.Config{Policy: core.PolicyBaseline})
+	for _, tc := range []struct {
+		name    string
+		payload func(enc *snap.Encoder)
+		load    func(dec *snap.Decoder)
+	}{
+		{"inflight", func(enc *snap.Encoder) {
+			enc.I64(0)
+			rig.s.st.SaveState(enc)
+			enc.Int(0)
+			enc.Int(0)
+			enc.U32(1 << 24)
+		}, rig.s.LoadState},
+		{"capture-values", func(enc *snap.Encoder) {
+			enc.U32(1)
+			enc.Int(0)
+			enc.Int(0)
+			enc.U32(1 << 24)
+		}, rig.s.loadCaptureMaps},
+		{"capture-trace", func(enc *snap.Encoder) {
+			enc.U32(0)
+			enc.U32(1)
+			enc.Int(0)
+			enc.Int(0)
+			enc.U32(1 << 24)
+		}, rig.s.loadCaptureMaps},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc := snap.NewEncoder()
+			tc.payload(enc)
+			enc.U64(0) // a few bytes of record, far short of the claim
+			b, err := enc.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := snap.NewDecoder(b)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tc.load(dec)
+			runtime.ReadMemStats(&after)
+			if dec.Err() == nil {
+				t.Fatal("a count of 1<<24 records restored without error")
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("rejecting the count allocated %d bytes", grew)
+			}
+		})
 	}
 }

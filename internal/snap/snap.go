@@ -376,6 +376,28 @@ func (d *Decoder) Int() int { return int(d.I64()) }
 //bow:hotpath
 func (d *Decoder) I32() int32 { return int32(d.U32()) }
 
+// Count reads the uint32 record count that prefixes a list whose
+// records each encode to at least minSize bytes, and fails when that
+// many records could not fit in the rest of the open section (or of
+// the payload). Decoders size allocations and loops from the result,
+// so a crafted count can never make a restore allocate more than the
+// input could back.
+func (d *Decoder) Count(minSize int) int {
+	n := d.U32()
+	if d.err != nil {
+		return 0
+	}
+	end := len(d.buf)
+	if d.secEnd >= 0 {
+		end = d.secEnd
+	}
+	if left := end - d.off; uint64(n)*uint64(max(minSize, 1)) > uint64(max(left, 0)) {
+		d.Fail(fmt.Errorf("snap: count %d of %d-byte records exceeds the %d bytes left at offset %d", n, minSize, left, d.off))
+		return 0
+	}
+	return int(n)
+}
+
 // Bytes32 reads a length-prefixed byte slice (copied).
 func (d *Decoder) Bytes32() []byte {
 	n := int(d.U32())
@@ -463,15 +485,16 @@ func Encode(w io.Writer, h Header, payload []byte) (string, error) {
 // headerReader decodes the stream prefix shared by ReadHeader and
 // Decode.
 type headerReader struct {
-	r   io.Reader
-	err error
+	r     io.Reader
+	limit int // largest length field accepted: the stream cap, or an in-memory body's size
+	err   error
 }
 
 func (hr *headerReader) read(n int) []byte {
 	if hr.err != nil {
 		return nil
 	}
-	if n > maxSnapshotBytes {
+	if n > hr.limit {
 		hr.err = fmt.Errorf("snap: length field %d exceeds limit", n)
 		return nil
 	}
@@ -529,7 +552,7 @@ func (hr *headerReader) header() Header {
 // verifying the payload. cmd/bowtrace uses it to recover the job spec
 // before committing to a full restore.
 func ReadHeader(r io.Reader) (Header, error) {
-	hr := &headerReader{r: r}
+	hr := &headerReader{r: r, limit: maxSnapshotBytes}
 	h := hr.header()
 	return h, hr.err
 }
@@ -585,7 +608,7 @@ func DecodeBytesPreverified(all []byte) (Header, *Decoder, error) {
 // snapshot body, aliasing the payload.
 func decodeBody(body []byte) (Header, *Decoder, error) {
 	br := bytes.NewReader(body)
-	hr := &headerReader{r: br}
+	hr := &headerReader{r: br, limit: len(body)}
 	h := hr.header()
 	if hr.err != nil {
 		return Header{}, nil, hr.err

@@ -2,6 +2,9 @@ package snap
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -235,5 +238,58 @@ func TestSectionMismatch(t *testing.T) {
 	dec.Section(2)
 	if dec.Err() == nil {
 		t.Fatal("decoder accepted under-consumed section")
+	}
+}
+
+// TestCountBoundsRecords: Count accepts a count whose records fit in
+// the rest of the open section, and fails — returning 0 — on one that
+// claims more bytes than remain.
+func TestCountBoundsRecords(t *testing.T) {
+	enc := NewEncoder()
+	enc.Section(1)
+	enc.U32(2)
+	enc.I64(7)
+	enc.I64(8)
+	enc.U32(3) // three 8-byte records claimed, none present
+	enc.Section(2)
+	enc.U64(0)
+	payload, err := enc.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(payload)
+	dec.Section(1)
+	if n := dec.Count(8); n != 2 || dec.Err() != nil {
+		t.Fatalf("Count = %d, err %v; want 2", n, dec.Err())
+	}
+	dec.I64()
+	dec.I64()
+	// Section 2's bytes follow, but they belong to another section.
+	if n := dec.Count(8); n != 0 || dec.Err() == nil {
+		t.Fatalf("Count = %d, err %v; want an error", n, dec.Err())
+	}
+}
+
+// TestHeaderLengthBoundedByBlob: an in-memory snapshot whose header
+// claims a string longer than the blob itself is rejected before the
+// string is allocated, even though its content hash verifies.
+func TestHeaderLengthBoundedByBlob(t *testing.T) {
+	var body []byte
+	body = append(body, Magic...)
+	body = binary.LittleEndian.AppendUint32(body, FormatVersion)
+	body = binary.LittleEndian.AppendUint64(body, 0)
+	body = binary.LittleEndian.AppendUint32(body, 1<<29) // config hash length
+	body = append(body, "abc"...)
+	sum := sha256.Sum256(body)
+	blob := append(body, sum[:]...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeBytes(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 512 MiB header string in a tiny blob decoded without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("rejecting the header allocated %d bytes", grew)
 	}
 }

@@ -35,7 +35,7 @@ func (h *Histogram) LoadState(dec *snap.Decoder) {
 	for i := range h.dense {
 		h.dense[i] = dec.I64()
 	}
-	n := int(dec.U32())
+	n := dec.Count(16) // key and count, 8 bytes each
 	h.counts = nil
 	if n > 0 {
 		h.counts = make(map[int]int64, n)

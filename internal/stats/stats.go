@@ -32,9 +32,9 @@ func NewHistogram() *Histogram {
 }
 
 // Reset empties the histogram in place, restoring it to the state
-// NewHistogram returns without giving up the dense storage. The batch
-// sweep path recycles per-SM histograms across sequentially-run sweep
-// points on the strength of this equivalence.
+// NewHistogram returns without giving up the dense storage. The
+// engine's carcass pool recycles per-SM histograms across runs on the
+// strength of this equivalence.
 func (h *Histogram) Reset() {
 	h.dense = [denseSlots]int64{}
 	h.counts = nil
