@@ -133,6 +133,7 @@ func main() {
 		}
 	}
 
+	coordOpts := cluster.Options{MaxInflightPerWorker: *inflight, CacheSize: *cacheSize}
 	switch {
 	case *standbyOf != "":
 		if *walDir == "" {
@@ -140,45 +141,19 @@ func main() {
 			os.Exit(1)
 		}
 		sw := &switchableHandler{}
-		promote := func(sb *durable.Standby) {
-			var svcSlot atomic.Pointer[durable.Service]
-			coord, err := cluster.New(cluster.Options{
-				MaxInflightPerWorker: *inflight,
-				CacheSize:            *cacheSize,
-				OnCheckpoint: func(hash string, cycle int64, ckpt []byte) {
-					if svc := svcSlot.Load(); svc != nil {
-						svc.LogCheckpoint(hash, cycle, ckpt)
-					}
-				},
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bowd: promote:", err)
-				return
-			}
-			svc, stats, err := sb.Promote(durable.ServiceOptions{
-				Tenants: fileTenants,
-				Dispatch: func(ctx context.Context, spec simjob.JobSpec) (simjob.JobResult, error) {
-					res, _, derr := coord.Do(ctx, spec)
-					return res, derr
-				},
-				OnWorker: func(a string) { coord.Join(a) },
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bowd: promote:", err)
-				coord.Close()
-				return
-			}
-			svcSlot.Store(svc)
-			sw.set(durable.NewServer(svc, coord))
-			fmt.Printf("bowd: promoted — replayed %d records, recovered %d jobs (%d resumed from checkpoints), %d workers\n",
-				stats.Records, stats.JobsRecovered, stats.JobsResumed, stats.WorkersReplayed)
-		}
 		sb, err := durable.NewStandby(durable.StandbyOptions{
 			Primary: *standbyOf,
 			WALDir:  *walDir,
 			OnDown: func(sb *durable.Standby) {
 				fmt.Println("bowd: primary heartbeat lapsed — promoting")
-				promote(sb)
+				srv, _, stats, err := durableStack(coordOpts, nil, fileTenants, sb.Promote)
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "bowd: promote:", err)
+					return
+				}
+				sw.set(srv)
+				fmt.Printf("bowd: promoted — replayed %d records, recovered %d jobs (%d resumed from checkpoints), %d workers\n",
+					stats.Records, stats.JobsRecovered, stats.JobsResumed, stats.WorkersReplayed)
 			},
 		})
 		if err != nil {
@@ -194,55 +169,22 @@ func main() {
 		fmt.Printf("bowd: warm standby for %s on %s (wal %s)\n", *standbyOf, *addr, *walDir)
 
 	case *coordinator && *walDir != "":
-		var addrs []string
-		if *workers != "" {
-			for _, a := range strings.Split(*workers, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					addrs = append(addrs, a)
-				}
-			}
-		}
-		// The checkpoint hook needs the service, which needs the
-		// coordinator's Do: late-bind through an atomic pointer.
-		var svcSlot atomic.Pointer[durable.Service]
-		coord, err := cluster.New(cluster.Options{
-			MaxInflightPerWorker: *inflight,
-			CacheSize:            *cacheSize,
-			OnCheckpoint: func(hash string, cycle int64, ckpt []byte) {
-				if svc := svcSlot.Load(); svc != nil {
-					svc.LogCheckpoint(hash, cycle, ckpt)
-				}
-			},
-		}, addrs...)
+		addrs := splitList(*workers)
+		srv, closeStack, stats, err := durableStack(coordOpts, addrs, fileTenants,
+			func(o durable.ServiceOptions) (*durable.Service, durable.RecoveryStats, error) {
+				o.WALDir = *walDir
+				return durable.NewService(o)
+			})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bowd:", err)
 			os.Exit(1)
 		}
-		svc, stats, err := durable.NewService(durable.ServiceOptions{
-			WALDir:  *walDir,
-			Tenants: fileTenants,
-			Dispatch: func(ctx context.Context, spec simjob.JobSpec) (simjob.JobResult, error) {
-				res, _, derr := coord.Do(ctx, spec)
-				return res, derr
-			},
-			OnWorker: func(a string) { coord.Join(a) },
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bowd:", err)
-			os.Exit(1)
-		}
-		svcSlot.Store(svc)
-		for _, a := range addrs {
-			svc.NoteWorker(a)
-		}
-		srv := durable.NewServer(svc, coord)
 		handler = srv
 		drain = func(ctx context.Context, hs *http.Server) {
 			srv.StartDraining()
 			time.Sleep(*drainGrace)
 			_ = hs.Shutdown(ctx)
-			_ = svc.Close()
-			coord.Close()
+			closeStack()
 		}
 		if stats.Records > 0 {
 			fmt.Printf("bowd: replayed %d WAL records — recovered %d jobs (%d resumed), %d tenants, %d workers\n",
@@ -252,18 +194,8 @@ func main() {
 			*addr, *walDir, len(addrs), len(fileTenants))
 
 	case *coordinator:
-		var addrs []string
-		if *workers != "" {
-			for _, a := range strings.Split(*workers, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					addrs = append(addrs, a)
-				}
-			}
-		}
-		coord, err := cluster.New(cluster.Options{
-			MaxInflightPerWorker: *inflight,
-			CacheSize:            *cacheSize,
-		}, addrs...)
+		addrs := splitList(*workers)
+		coord, err := cluster.New(coordOpts, addrs...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bowd:", err)
 			os.Exit(1)
@@ -288,14 +220,7 @@ func main() {
 			}
 			pool = n
 		}
-		var peerList []string
-		if *peers != "" {
-			for _, p := range strings.Split(*peers, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					peerList = append(peerList, p)
-				}
-			}
-		}
+		peerList := splitList(*peers)
 		engine, err := simjob.New(simjob.Options{
 			Workers:   pool,
 			Retries:   *retries,
@@ -379,6 +304,64 @@ func main() {
 		defer cancel()
 		drain(ctx, hs)
 	}
+}
+
+// durableStack builds the durable coordinator: a cluster coordinator
+// over addrs, the durable service open opens on top of it
+// (durable.NewService, or a standby's Promote), and the HTTP server
+// in front of both; closeStack shuts the service and coordinator down.
+// Jobs dispatch through the coordinator, migrated jobs log their
+// checkpoints, workers replayed from the log rejoin the fleet, and
+// addrs are logged as /join would log them, so a standby re-dials
+// them after promotion.
+func durableStack(opts cluster.Options, addrs []string, tenants []durable.Tenant,
+	open func(durable.ServiceOptions) (*durable.Service, durable.RecoveryStats, error),
+) (srv *durable.Server, closeStack func(), stats durable.RecoveryStats, err error) {
+	// The checkpoint hook needs the service, which needs the
+	// coordinator's Do: late-bind through an atomic pointer.
+	var svcSlot atomic.Pointer[durable.Service]
+	opts.OnCheckpoint = func(hash string, cycle int64, ckpt []byte) {
+		if svc := svcSlot.Load(); svc != nil {
+			svc.LogCheckpoint(hash, cycle, ckpt)
+		}
+	}
+	coord, err := cluster.New(opts, addrs...)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	svc, stats, err := open(durable.ServiceOptions{
+		Tenants: tenants,
+		Dispatch: func(ctx context.Context, spec simjob.JobSpec) (simjob.JobResult, error) {
+			res, _, err := coord.Do(ctx, spec)
+			return res, err
+		},
+		OnWorker: func(a string) { coord.Join(a) },
+	})
+	if err != nil {
+		coord.Close()
+		return nil, nil, stats, err
+	}
+	svcSlot.Store(svc)
+	for _, a := range addrs {
+		svc.NoteWorker(a)
+	}
+	closeStack = func() {
+		_ = svc.Close()
+		coord.Close()
+	}
+	return durable.NewServer(svc, coord), closeStack, stats, nil
+}
+
+// splitList parses a comma-separated -workers or -peers list, dropping
+// blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // joinCoordinator announces this worker to a coordinator's /join

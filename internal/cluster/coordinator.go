@@ -14,9 +14,10 @@ import (
 	"bow/internal/trace"
 )
 
-// ErrBadSpec marks submission errors caused by the spec itself (it
-// failed normalization coordinator-side): the request is wrong, not
-// the cluster.
+// ErrBadSpec marks submission errors caused by the spec or sweep
+// itself (it failed normalization or expansion coordinator-side): the
+// request is wrong, not the cluster. The durable tier wraps its own
+// admission failures in it too, so ErrStatus answers both with 400.
 var ErrBadSpec = errors.New("cluster: bad spec")
 
 // Counters are the coordinator's monotonic tallies, served at /metrics
@@ -76,6 +77,17 @@ type Status struct {
 	// HedgeDelayMicros is the straggler threshold currently in force
 	// (0 = hedging inactive, e.g. not enough samples yet).
 	HedgeDelayMicros int64 `json:"hedgeDelayMicros"`
+}
+
+// ready counts the routable workers.
+func (s Status) ready() int {
+	n := 0
+	for _, ws := range s.Workers {
+		if ws.Ready {
+			n++
+		}
+	}
+	return n
 }
 
 // Coordinator shards simjob work across a registry of bowd workers.
@@ -497,41 +509,9 @@ func (c *Coordinator) GatherSpans(ctx context.Context, traceID string) []trace.S
 func (c *Coordinator) Sweep(ctx context.Context, sw simjob.SweepSpec, onItem func(done, total int, item simjob.SweepItem)) (*simjob.SweepResult, error) {
 	unique, index, err := sw.ExpandHashed()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
-	items := make([]simjob.SweepItem, len(unique))
-	var wg sync.WaitGroup
-	var cbMu sync.Mutex
-	done := 0
-	for i := range unique {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, cached, err := c.Do(ctx, unique[i].Spec)
-			item := simjob.SweepItem{Spec: unique[i].Spec}
-			if err != nil {
-				item.Error = err.Error()
-			} else {
-				item.Cached = cached
-				r := res
-				item.Result = &r
-			}
-			items[i] = item
-			if onItem != nil {
-				cbMu.Lock()
-				done++
-				onItem(done, len(unique), item)
-				cbMu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	out := &simjob.SweepResult{Jobs: len(index), Items: make([]simjob.SweepItem, len(index))}
-	for ei, ui := range index {
-		out.Items[ei] = items[ui]
-		if items[ui].Error != "" {
-			out.Failed++
-		}
-	}
-	return out, nil
+	return simjob.GatherSweep(unique, index, func(u int) (simjob.JobResult, string, error) {
+		return c.Do(ctx, unique[u].Spec)
+	}, onItem), nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,7 +30,9 @@ type JoinRequest struct {
 }
 
 // Server is the coordinator's HTTP interface — what cmd/bowd serves
-// in -coordinator mode and cmd/bowctl talks to.
+// in -coordinator mode and cmd/bowctl talks to. The durable
+// coordinator (internal/durable) serves these routes too, re-routing
+// /simulate, /sweep and /join through its WAL-backed service.
 //
 // Requests carrying an X-Bow-Trace-Id header get their trace ID
 // threaded into routing (and forwarded to workers by the per-worker
@@ -56,148 +59,58 @@ type Server struct {
 func NewServer(c *Coordinator) *Server {
 	s := &Server{coord: c, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/simulate", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
+		if !simjob.RequireMethod(w, r, http.MethodPost) {
 			return
 		}
 		var spec simjob.JobSpec
-		if !decodeBody(w, r, &spec) {
+		if !simjob.DecodeBody(w, r, &spec) {
 			return
 		}
 		ctx := trace.ContextWithID(r.Context(), r.Header.Get(trace.HeaderTraceID))
 		res, cached, err := c.Do(ctx, spec)
 		if err != nil {
-			httpError(w, errStatus(err), err)
+			simjob.HTTPError(w, ErrStatus(err), err)
 			return
 		}
-		writeJSON(w, simjob.SimulateResponse{Cached: cached, Result: res})
+		simjob.WriteJSON(w, simjob.SimulateResponse{Cached: cached, Result: res})
 	})
-	s.mux.HandleFunc("/sweep", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		var sw simjob.SweepSpec
-		if !decodeBody(w, r, &sw) {
-			return
-		}
-		ctx := trace.ContextWithID(r.Context(), r.Header.Get(trace.HeaderTraceID))
-		stream := r.URL.Query().Get("stream") != "" ||
-			strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-		if !stream {
-			res, err := c.Sweep(ctx, sw, nil)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			writeJSON(w, res)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		res, err := c.Sweep(ctx, sw, func(done, total int, item simjob.SweepItem) {
-			it := item
-			_ = enc.Encode(StreamEvent{Done: done, Total: total, Item: &it})
-			if flusher != nil {
-				flusher.Flush()
-			}
-		})
-		if err != nil {
-			// Headers are not sent until the first write; an expansion
-			// error happens before any item, so a plain error code still
-			// reaches the client.
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		sum := *res
-		sum.Items = nil
-		_ = enc.Encode(StreamEvent{Summary: &sum})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	s.mux.HandleFunc("/join", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		var req JoinRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		if req.Addr == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: join needs addr"))
-			return
-		}
-		writeJSON(w, map[string]any{"joined": c.Join(req.Addr)})
-	})
-	s.mux.HandleFunc("/leave", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		var req JoinRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		if req.Addr == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("cluster: leave needs addr"))
-			return
-		}
-		writeJSON(w, map[string]any{"left": c.Leave(req.Addr)})
-	})
+	s.mux.HandleFunc("/sweep", SweepHandler(c.Sweep, ErrStatus))
+	s.mux.HandleFunc("/join", MembershipHandler("join", "joined", c.Join))
+	s.mux.HandleFunc("/leave", MembershipHandler("leave", "left", c.Leave))
 	s.mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !simjob.RequireMethod(w, r, http.MethodGet) {
 			return
 		}
-		writeJSON(w, c.GatherSpans(r.Context(), r.URL.Query().Get("trace")))
+		simjob.WriteJSON(w, c.GatherSpans(r.Context(), r.URL.Query().Get("trace")))
 	})
 	s.mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !simjob.RequireMethod(w, r, http.MethodGet) {
 			return
 		}
-		writeJSON(w, c.Status())
+		simjob.WriteJSON(w, c.Status())
 	})
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !simjob.RequireMethod(w, r, http.MethodGet) {
 			return
 		}
 		st := c.Status()
-		ready := 0
-		for _, ws := range st.Workers {
-			if ws.Ready {
-				ready++
-			}
-		}
-		writeJSON(w, map[string]any{
-			"status": "ok", "workers": len(st.Workers), "ready": ready,
+		simjob.WriteJSON(w, map[string]any{
+			"status": "ok", "workers": len(st.Workers), "ready": st.ready(),
 		})
 	})
 	s.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		if s.draining.Load() {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ready"})
+		simjob.ServeReadyz(w, r, s.draining.Load())
 	})
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		if wantsPrometheus(r) {
-			w.Header().Set("Content-Type", prometheusContentType)
-			s.WritePrometheus(w)
-			return
-		}
-		st := c.Status()
-		writeJSON(w, map[string]any{
-			"counters":         st.Counters,
-			"p50LatencyMicros": st.P50LatencyMicros,
-			"p95LatencyMicros": st.P95LatencyMicros,
-			"hedgeDelayMicros": st.HedgeDelayMicros,
-			"workers":          len(st.Workers),
+		simjob.ServeMetrics(w, r, s.WritePrometheus, func() any {
+			st := c.Status()
+			return map[string]any{
+				"counters":         st.Counters,
+				"p50LatencyMicros": st.P50LatencyMicros,
+				"p95LatencyMicros": st.P95LatencyMicros,
+				"hedgeDelayMicros": st.HedgeDelayMicros,
+				"workers":          len(st.Workers),
+			}
 		})
 	})
 	return s
@@ -211,54 +124,93 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // drain semantics for anything load-balancing across coordinators.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// errStatus maps a routed-job error onto the status the coordinator
-// reports: a worker's 4xx verdict passes through as 400, everything
-// else (no workers, exhausted retries) is a 502 — the request was
-// fine, the cluster could not serve it.
-func errStatus(err error) int {
-	var se *simjob.StatusError
-	if errors.As(err, &se) && se.Permanent() {
-		return http.StatusBadRequest
+// SweepFunc runs a sweep, handing each unique point's item to onItem
+// (when non-nil) as it completes.
+type SweepFunc func(ctx context.Context, sw simjob.SweepSpec, onItem func(done, total int, item simjob.SweepItem)) (*simjob.SweepResult, error)
+
+// SweepHandler serves POST /sweep over sweep: the whole SweepResult as
+// JSON, or — with ?stream=1 or Accept: application/x-ndjson — one
+// NDJSON StreamEvent per unique point as it completes and a final
+// summary with the items stripped. status maps a sweep error onto the
+// HTTP status; once the first item has streamed the status line is
+// gone, so a later failure just ends the stream.
+func SweepHandler(sweep SweepFunc, status func(error) int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !simjob.RequireMethod(w, r, http.MethodPost) {
+			return
+		}
+		var sw simjob.SweepSpec
+		if !simjob.DecodeBody(w, r, &sw) {
+			return
+		}
+		ctx := trace.ContextWithID(r.Context(), r.Header.Get(trace.HeaderTraceID))
+		if r.URL.Query().Get("stream") == "" &&
+			!strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+			res, err := sweep(ctx, sw, nil)
+			if err != nil {
+				simjob.HTTPError(w, status(err), err)
+				return
+			}
+			simjob.WriteJSON(w, res)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		emit := func(ev StreamEvent) {
+			_ = enc.Encode(ev)
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		// onItem calls are serialized, and the last one happens before
+		// sweep returns.
+		streamed := false
+		res, err := sweep(ctx, sw, func(done, total int, item simjob.SweepItem) {
+			streamed = true
+			emit(StreamEvent{Done: done, Total: total, Item: &item})
+		})
+		if err != nil {
+			if !streamed {
+				simjob.HTTPError(w, status(err), err)
+			}
+			return
+		}
+		sum := *res
+		sum.Items = nil
+		emit(StreamEvent{Summary: &sum})
 	}
-	if errors.Is(err, ErrBadSpec) {
+}
+
+// MembershipHandler serves POST /join or /leave (verb): the body names
+// a worker address, and apply adds or removes it and reports whether
+// that changed the fleet, answered as {field: bool}.
+func MembershipHandler(verb, field string, apply func(addr string) bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !simjob.RequireMethod(w, r, http.MethodPost) {
+			return
+		}
+		var req JoinRequest
+		if !simjob.DecodeBody(w, r, &req) {
+			return
+		}
+		if req.Addr == "" {
+			simjob.HTTPError(w, http.StatusBadRequest, fmt.Errorf("cluster: %s needs addr", verb))
+			return
+		}
+		simjob.WriteJSON(w, map[string]any{field: apply(req.Addr)})
+	}
+}
+
+// ErrStatus maps a coordinator error onto the HTTP status it answers
+// with: a bad spec or sweep (ErrBadSpec) and a worker's 4xx verdict
+// are the caller's fault (400); everything else — no workers,
+// exhausted retries, a worker's 5xx — is a 502: the request was fine,
+// the cluster could not serve it.
+func ErrStatus(err error) int {
+	var se *simjob.StatusError
+	if errors.Is(err, ErrBadSpec) || errors.As(err, &se) && se.Permanent() {
 		return http.StatusBadRequest
 	}
 	return http.StatusBadGateway
-}
-
-// Helpers mirrored from internal/simjob's HTTP layer (kept local: the
-// packages serve different APIs and share only these few lines).
-
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		httpError(w, http.StatusMethodNotAllowed,
-			fmt.Errorf("use %s %s", method, r.URL.Path))
-		return false
-	}
-	return true
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	// 64 MiB, matching the worker server: a spec may arrive with a
-	// resume checkpoint inlined in JobSpec.FromCheckpoint.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }

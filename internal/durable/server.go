@@ -1,14 +1,12 @@
 package durable
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync/atomic"
 
 	"bow/internal/cluster"
 	"bow/internal/simjob"
@@ -16,10 +14,11 @@ import (
 )
 
 // Server is the durable coordinator's HTTP interface: the cluster
-// server's routes with /simulate and /sweep re-routed through the
-// Service (WAL + tenancy + fair share), plus the WAL tail endpoints a
-// standby needs and the tenant table. Every route except the open set
-// (probes, metrics, WAL tail) requires an API key.
+// server's routes with /simulate, /sweep and /join re-routed through
+// the Service (WAL + tenancy + fair share), plus the WAL tail
+// endpoints a standby needs and the tenant table. Every route except
+// the open set (probes, metrics, WAL tail, membership) requires an API
+// key.
 //
 //	POST /simulate      JobSpec -> SimulateResponse (durable, fair-share)
 //	POST /sweep         SweepSpec -> SweepResult (?stream=1 for NDJSON)
@@ -32,183 +31,105 @@ import (
 //	GET  /status        cluster status (delegated)
 //	GET  /spans         trace spans (delegated)
 //	GET  /healthz       liveness (delegated)
-//	GET  /readyz        readiness: 503 while draining
+//	GET  /readyz        readiness: 503 while draining (delegated)
 //	GET  /metrics       cluster + durable families (bow_wal_*,
 //	                    bow_tenant_*); JSON unless Accept: text/plain
 type Server struct {
-	svc      *Service
-	coord    *cluster.Coordinator
-	inner    *cluster.Server
-	handler  http.Handler
-	draining atomic.Bool
+	svc     *Service
+	inner   *cluster.Server
+	handler http.Handler
 }
 
 // NewServer wires the durable tier in front of a cluster coordinator.
 func NewServer(svc *Service, coord *cluster.Coordinator) *Server {
-	s := &Server{svc: svc, coord: coord, inner: cluster.NewServer(coord)}
+	s := &Server{svc: svc, inner: cluster.NewServer(coord)}
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("/simulate", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
+		if !simjob.RequireMethod(w, r, http.MethodPost) {
 			return
 		}
 		var spec simjob.JobSpec
-		if !decodeBody(w, r, &spec) {
+		if !simjob.DecodeBody(w, r, &spec) {
 			return
 		}
 		ctx := trace.ContextWithID(r.Context(), r.Header.Get(trace.HeaderTraceID))
 		res, err := svc.Submit(ctx, TenantFromContext(r.Context()), spec)
 		if err != nil {
-			httpError(w, errStatus(err), err)
+			simjob.HTTPError(w, errStatus(err), err)
 			return
 		}
-		writeJSON(w, simjob.SimulateResponse{Result: res})
+		simjob.WriteJSON(w, simjob.SimulateResponse{Result: res})
 	})
 
-	mux.HandleFunc("/sweep", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		var sw simjob.SweepSpec
-		if !decodeBody(w, r, &sw) {
-			return
-		}
-		ctx := trace.ContextWithID(r.Context(), r.Header.Get(trace.HeaderTraceID))
-		tenant := TenantFromContext(r.Context())
-		stream := r.URL.Query().Get("stream") != "" ||
-			strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-		if !stream {
-			res, err := svc.SubmitSweep(ctx, tenant, sw, nil)
-			if err != nil {
-				httpError(w, errStatus(err), err)
-				return
-			}
-			writeJSON(w, res)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		var streamed atomic.Bool
-		res, err := svc.SubmitSweep(ctx, tenant, sw, func(done, total int, item simjob.SweepItem) {
-			streamed.Store(true)
-			it := item
-			_ = enc.Encode(cluster.StreamEvent{Done: done, Total: total, Item: &it})
-			if flusher != nil {
-				flusher.Flush()
-			}
-		})
-		if err != nil {
-			if !streamed.Load() {
-				// Nothing sent yet: a plain error status still reaches the
-				// client. Mid-stream failures just truncate the stream.
-				httpError(w, errStatus(err), err)
-			}
-			return
-		}
-		sum := *res
-		sum.Items = nil
-		_ = enc.Encode(cluster.StreamEvent{Summary: &sum})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
+	mux.HandleFunc("/sweep", cluster.SweepHandler(func(ctx context.Context, sw simjob.SweepSpec, onItem func(done, total int, item simjob.SweepItem)) (*simjob.SweepResult, error) {
+		return svc.SubmitSweep(ctx, TenantFromContext(ctx), sw, onItem)
+	}, errStatus))
 
-	mux.HandleFunc("/join", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		var req cluster.JoinRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		if req.Addr == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("durable: join needs addr"))
-			return
-		}
-		joined := coord.Join(req.Addr)
+	mux.HandleFunc("/join", cluster.MembershipHandler("join", "joined", func(addr string) bool {
+		joined := coord.Join(addr)
 		if joined {
 			// Log it so a promoted standby re-dials this worker.
-			svc.NoteWorker(req.Addr)
+			svc.NoteWorker(addr)
 		}
-		writeJSON(w, map[string]any{"joined": joined})
-	})
+		return joined
+	}))
 
 	mux.HandleFunc("/tenants", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
-			writeJSON(w, svc.Tenants().Snapshot())
+			simjob.WriteJSON(w, svc.Tenants().Snapshot())
 		case http.MethodPost:
 			var t Tenant
-			if !decodeBody(w, r, &t) {
+			if !simjob.DecodeBody(w, r, &t) {
 				return
 			}
 			if t.Name == "" || t.APIKey == "" {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("durable: tenant needs name and apiKey"))
+				simjob.HTTPError(w, http.StatusBadRequest, fmt.Errorf("durable: tenant needs name and apiKey"))
 				return
 			}
 			if err := svc.UpsertTenant(t); err != nil {
-				httpError(w, http.StatusInternalServerError, err)
+				simjob.HTTPError(w, http.StatusInternalServerError, err)
 				return
 			}
-			writeJSON(w, map[string]any{"upserted": t.Name})
+			simjob.WriteJSON(w, map[string]any{"upserted": t.Name})
 		default:
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST /tenants"))
+			simjob.HTTPError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST /tenants"))
 		}
 	})
 
 	mux.HandleFunc("/wal/stat", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !simjob.RequireMethod(w, r, http.MethodGet) {
 			return
 		}
-		writeJSON(w, map[string]int64{"end": svc.WAL().End()})
+		simjob.WriteJSON(w, map[string]int64{"end": svc.WAL().End()})
 	})
 
 	mux.HandleFunc("/wal", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !simjob.RequireMethod(w, r, http.MethodGet) {
 			return
 		}
 		from, _ := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
 		max, _ := strconv.Atoi(r.URL.Query().Get("max"))
 		recs, end, err := svc.WAL().ReadFrom(from, max)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			simjob.HTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, WALBatch{Records: recs, End: end})
-	})
-
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		if s.draining.Load() {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ready"})
+		simjob.WriteJSON(w, WALBatch{Records: recs, End: end})
 	})
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		if strings.Contains(r.Header.Get("Accept"), "text/plain") {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		simjob.ServeMetrics(w, r, func(w io.Writer) {
 			s.inner.WritePrometheus(w)
 			s.WritePrometheus(w)
-			return
-		}
-		writeJSON(w, map[string]any{
-			"cluster": s.coord.Status().Counters,
-			"durable": svc.Metrics(),
+		}, func() any {
+			return map[string]any{"cluster": coord.Status().Counters, "durable": svc.Metrics()}
 		})
 	})
 
-	// Everything else (status, spans, healthz) delegates to the cluster
-	// server.
+	// Everything else (leave, status, spans, healthz, readyz) is the
+	// cluster server's.
 	mux.Handle("/", s.inner)
 
 	s.handler = svc.Tenants().Middleware(mux)
@@ -228,27 +149,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // StartDraining flips /readyz to 503 ahead of shutdown.
-func (s *Server) StartDraining() { s.draining.Store(true) }
+func (s *Server) StartDraining() { s.inner.StartDraining() }
 
 // WritePrometheus emits the durable-tier families (the cluster server
 // writes its own; the /metrics handler concatenates the two).
 func (s *Server) WritePrometheus(w io.Writer) {
 	m := s.svc.Metrics()
-	promCounter(w, "bow_wal_appends_total", "Records appended to the WAL.", m.WAL.Appends)
-	promCounter(w, "bow_wal_syncs_total", "WAL fsync batches (group commits).", m.WAL.Syncs)
-	promCounter(w, "bow_wal_rotations_total", "WAL segment rotations.", m.WAL.Rotations)
-	promGauge(w, "bow_wal_end_lsn", "Highest durably synced LSN.", m.WAL.EndLSN)
-	promGauge(w, "bow_wal_segments", "Live WAL segment files.", int64(m.WAL.Segments))
-	promGauge(w, "bow_wal_size_bytes", "Total WAL bytes on disk.", m.WAL.SizeBytes)
-	promCounter(w, "bow_wal_store_puts_total", "Results persisted to the content-addressed store.", m.StorePuts)
-	promCounter(w, "bow_wal_store_hits_total", "Submissions served from the content-addressed store.", m.StoreHits)
-	promCounter(w, "bow_wal_recovered_total", "Jobs re-enqueued by crash recovery.", m.Recovered)
-	promCounter(w, "bow_wal_resumed_total", "Recovered jobs resumed from a checkpoint.", m.Resumed)
+	simjob.PromCounter(w, "bow_wal_appends_total", "Records appended to the WAL.", m.WAL.Appends)
+	simjob.PromCounter(w, "bow_wal_syncs_total", "WAL fsync batches (group commits).", m.WAL.Syncs)
+	simjob.PromCounter(w, "bow_wal_rotations_total", "WAL segment rotations.", m.WAL.Rotations)
+	simjob.PromGauge(w, "bow_wal_end_lsn", "Highest durably synced LSN.", m.WAL.EndLSN)
+	simjob.PromGauge(w, "bow_wal_segments", "Live WAL segment files.", int64(m.WAL.Segments))
+	simjob.PromGauge(w, "bow_wal_size_bytes", "Total WAL bytes on disk.", m.WAL.SizeBytes)
+	simjob.PromCounter(w, "bow_wal_store_puts_total", "Results persisted to the content-addressed store.", m.StorePuts)
+	simjob.PromCounter(w, "bow_wal_store_hits_total", "Submissions served from the content-addressed store.", m.StoreHits)
+	simjob.PromCounter(w, "bow_wal_recovered_total", "Jobs re-enqueued by crash recovery.", m.Recovered)
+	simjob.PromCounter(w, "bow_wal_resumed_total", "Recovered jobs resumed from a checkpoint.", m.Resumed)
 
-	promCounter(w, "bow_tenant_admitted_total", "Requests admitted across all tenants.", m.TenantsAdmitted)
-	promCounter(w, "bow_tenant_rejected_unauthenticated_total", "Requests rejected 401.", m.TenantsRejected401)
-	promCounter(w, "bow_tenant_rejected_throttled_total", "Requests rejected 429 (rate limit or quota).", m.TenantsRejected429)
-	promGauge(w, "bow_tenant_queued_jobs", "Jobs waiting in tenant queues.", int64(m.Queued))
+	simjob.PromCounter(w, "bow_tenant_admitted_total", "Requests admitted across all tenants.", m.TenantsAdmitted)
+	simjob.PromCounter(w, "bow_tenant_rejected_unauthenticated_total", "Requests rejected 401.", m.TenantsRejected401)
+	simjob.PromCounter(w, "bow_tenant_rejected_throttled_total", "Requests rejected 429 (rate limit or quota).", m.TenantsRejected429)
+	simjob.PromGauge(w, "bow_tenant_queued_jobs", "Jobs waiting in tenant queues.", int64(m.Queued))
 	for _, row := range m.Tenants {
 		fmt.Fprintf(w, "bow_tenant_inflight{tenant=%q} %d\n", row.Name, row.Inflight)
 		fmt.Fprintf(w, "bow_tenant_served_total{tenant=%q} %d\n", row.Name, row.Served)
@@ -256,67 +177,14 @@ func (s *Server) WritePrometheus(w io.Writer) {
 	}
 }
 
-// errStatus maps service errors onto HTTP codes: tenancy rejections to
-// 401/429, bad specs to 400, cluster failures to 502.
+// errStatus answers tenancy rejections with 401 and 429 and leaves
+// every other error to the cluster's status map.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrUnauthenticated):
 		return http.StatusUnauthorized
 	case errors.Is(err, ErrRateLimited), errors.Is(err, ErrOverQuota):
 		return http.StatusTooManyRequests
-	case errors.Is(err, cluster.ErrBadSpec):
-		return http.StatusBadRequest
 	}
-	var se *simjob.StatusError
-	if errors.As(err, &se) && se.Permanent() {
-		return http.StatusBadRequest
-	}
-	if strings.Contains(err.Error(), "simjob:") {
-		// Spec normalization failures (bad bench/policy/scheduler) are
-		// caller errors.
-		return http.StatusBadRequest
-	}
-	return http.StatusBadGateway
-}
-
-// Local copies of the small HTTP helpers the simjob and cluster
-// servers each keep (three packages, three APIs, same few lines).
-
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use %s %s", method, r.URL.Path))
-		return false
-	}
-	return true
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func promGauge(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-}
-
-func promCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	return cluster.ErrStatus(err)
 }

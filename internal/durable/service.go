@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"bow/internal/cluster"
 	"bow/internal/simjob"
 	"bow/internal/trace"
 )
@@ -340,8 +341,8 @@ type admitSlot struct {
 	j      *djob
 	result simjob.JobResult
 	ready  bool
-	// cached marks a store-served slot for SweepItem.Cached.
-	cached bool
+	// cached is SweepItem.Cached: "store" for a store-served slot.
+	cached string
 }
 
 // wait blocks for the slot's result, bounded by ctx (the job itself
@@ -411,7 +412,7 @@ func (s *Service) admit(ctx context.Context, tenant string, specs []simjob.JobSp
 				delete(s.jobs, j.hash)
 			}
 			s.mu.Unlock()
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", cluster.ErrBadSpec, err)
 		}
 		if j, ok := s.jobs[hash]; ok {
 			// In-flight job, or a duplicate spec earlier in this batch.
@@ -420,7 +421,7 @@ func (s *Service) admit(ctx context.Context, tenant string, specs []simjob.JobSp
 			continue
 		}
 		if sum, ok := s.store.Get(hash); ok {
-			slots[i].result, slots[i].ready, slots[i].cached = sum, true, true
+			slots[i].result, slots[i].ready, slots[i].cached = sum, true, "store"
 			s.storeHits++
 			continue
 		}
@@ -483,12 +484,12 @@ func (s *Service) unreserve(newJobs []*djob, err error) {
 // SubmitSweep expands a sweep, admits its unique points as one batch,
 // and waits for them all, invoking onItem (when non-nil) as each
 // unique point completes — the hook the streaming /sweep handler uses.
-// Results are reported in expansion order, mirroring the cluster
-// coordinator's Sweep.
+// Results are reported in expansion order, as the cluster
+// coordinator's Sweep reports them.
 func (s *Service) SubmitSweep(ctx context.Context, tenant string, sw simjob.SweepSpec, onItem func(done, total int, item simjob.SweepItem)) (*simjob.SweepResult, error) {
 	unique, index, err := sw.ExpandHashed()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", cluster.ErrBadSpec, err)
 	}
 	specs := make([]simjob.JobSpec, len(unique))
 	for i, hs := range unique {
@@ -498,49 +499,12 @@ func (s *Service) SubmitSweep(ctx context.Context, tenant string, sw simjob.Swee
 	if err != nil {
 		return nil, err
 	}
-	items := make([]simjob.SweepItem, len(unique))
-	failed := 0
-	done := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := range slots {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			item := simjob.SweepItem{Spec: unique[i].Spec}
-			sum, err := slots[i].wait(ctx)
-			if err != nil {
-				item.Error = err.Error()
-			} else {
-				item.Result = &sum
-				if slots[i].cached {
-					item.Cached = "store"
-				}
-			}
-			mu.Lock()
-			items[i] = item
-			if err != nil {
-				failed++
-			}
-			done++
-			// onItem runs under mu: callers hand it a shared stream encoder,
-			// so invocations must be serialized (and done counts monotonic).
-			if onItem != nil {
-				onItem(done, len(unique), item)
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
+	res := simjob.GatherSweep(unique, index, func(u int) (simjob.JobResult, string, error) {
+		sum, err := slots[u].wait(ctx)
+		return sum, slots[u].cached, err
+	}, onItem)
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	res := &simjob.SweepResult{Jobs: len(index), Failed: 0, Items: make([]simjob.SweepItem, len(index))}
-	for i, u := range index {
-		res.Items[i] = items[u]
-		if items[u].Error != "" {
-			res.Failed++
-		}
 	}
 	return res, nil
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bow/internal/simjob"
 )
 
 // StandbyOptions configures a warm standby.
@@ -248,9 +250,9 @@ func (sb *Standby) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		writeJSON(w, map[string]string{"status": "standby"})
+		simjob.WriteJSON(w, map[string]string{"status": "standby"})
 	case "/healthz":
-		writeJSON(w, map[string]string{"status": "ok"})
+		simjob.WriteJSON(w, map[string]string{"status": "ok"})
 	case "/status", "/metrics":
 		sb.mu.Lock()
 		st := map[string]any{
@@ -267,9 +269,9 @@ func (sb *Standby) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			st["lastError"] = sb.lastErr.Error()
 		}
 		sb.mu.Unlock()
-		writeJSON(w, st)
+		simjob.WriteJSON(w, st)
 	default:
-		httpError(w, http.StatusServiceUnavailable,
+		simjob.HTTPError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("durable: standby for %s (not promoted)", sb.opts.Primary))
 	}
 }

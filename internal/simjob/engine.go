@@ -72,9 +72,15 @@ type Engine struct {
 // job is one queued unit of work, fanned out to every ticket waiting
 // on the same spec hash.
 type job struct {
-	spec      JobSpec
-	hash      string
+	spec JobSpec
+	hash string
+	// ctx carries the first submitter's values (trace ID, carcass pool)
+	// but not its cancellation: cancel ends it once every waiter's
+	// context has ended (see watch).
 	ctx       context.Context
+	cancel    context.CancelFunc
+	waiting   int           // tickets whose submitter context is live
+	stops     []func() bool // deregister the per-ticket watches
 	tickets   []*Ticket
 	needFull  bool      // some waiter demands the full simulator result
 	traceID   string    // first submitter's trace ID (spans)
@@ -95,13 +101,14 @@ func (t *Ticket) Wait() (*Outcome, error) {
 	return t.out, t.err
 }
 
-// WaitContext is Wait that also gives up when ctx ends. The job itself
-// keeps running (other tickets may still be waiting on it, and the
-// single-flight entry stays live), but this caller returns ctx's error
-// immediately. The HTTP handlers wait this way so a cancelled request —
-// a hedge the coordinator abandoned, a client gone away — releases its
-// handler (and the in-flight gauge decremented by its defer) right
-// away instead of pinning it until the simulation finishes.
+// WaitContext is Wait that also gives up when ctx ends: this caller
+// returns ctx's error immediately, while the job keeps running for any
+// other ticket still waiting on it (it stops once every submitter's
+// context has ended). The HTTP handlers wait this way so a cancelled
+// request — a hedge the coordinator abandoned, a client gone away —
+// releases its handler (and the in-flight gauge decremented by its
+// defer) right away instead of pinning it until the simulation
+// finishes.
 func (t *Ticket) WaitContext(ctx context.Context) (*Outcome, error) {
 	select {
 	case <-t.done:
@@ -238,18 +245,56 @@ func (e *Engine) enqueue(ctx context.Context, norm JobSpec, hash string, needFul
 		// ticket too (execution always produces the full result).
 		j.tickets = append(j.tickets, t)
 		j.needFull = j.needFull || needFull
+		e.watch(j, ctx)
 		e.mu.Unlock()
 		return t
 	}
-	j := &job{spec: norm, hash: hash, ctx: ctx, tickets: []*Ticket{t},
+	jctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	j := &job{spec: norm, hash: hash, ctx: jctx, cancel: cancel, tickets: []*Ticket{t},
 		needFull: needFull,
 		traceID:  trace.IDFromContext(ctx), submitted: time.Now()}
+	e.watch(j, ctx)
 	e.inflight[hash] = j
 	e.queue = append(e.queue, j)
 	e.queued++
 	e.cond.Signal()
 	e.mu.Unlock()
 	return t
+}
+
+// watch counts ctx's submitter as a waiter on j. Once every waiter's
+// context has ended nobody wants the result: the job leaves the
+// single-flight table, so a later submitter of the same spec starts a
+// fresh run instead of joining a doomed one, and the job's context is
+// canceled so its simulation stops. Called with e.mu held.
+func (e *Engine) watch(j *job, ctx context.Context) {
+	j.waiting++
+	j.stops = append(j.stops, context.AfterFunc(ctx, func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if j.waiting--; j.waiting == 0 {
+			e.forget(j)
+			j.cancel()
+		}
+	}))
+}
+
+// forget removes a finished or abandoned job from the single-flight
+// table, unless a fresh run of the same spec already took its place.
+// Called with e.mu held.
+func (e *Engine) forget(j *job) {
+	if e.inflight[j.hash] == j {
+		delete(e.inflight, j.hash)
+	}
+}
+
+// release deregisters a finished job's waiter watches and releases
+// its context. Call it after forget, once no waiter can join.
+func (j *job) release() {
+	for _, stop := range j.stops {
+		stop()
+	}
+	j.cancel()
 }
 
 func (e *Engine) worker() {
@@ -280,9 +325,10 @@ func (e *Engine) worker() {
 				e.running--
 				e.done++
 				e.peerHits++
-				delete(e.inflight, j.hash)
+				e.forget(j)
 				tickets := j.tickets
 				e.mu.Unlock()
+				j.release()
 				for _, t := range tickets {
 					t.resolve(out, nil)
 				}
@@ -339,9 +385,10 @@ func (e *Engine) worker() {
 		}
 		e.retries += int64(attempts - 1)
 		e.latencyUS.Observe(int(elapsed.Microseconds()))
-		delete(e.inflight, j.hash)
+		e.forget(j)
 		tickets := j.tickets
 		e.mu.Unlock()
+		j.release()
 
 		for _, t := range tickets {
 			t.resolve(out, err)
@@ -353,14 +400,10 @@ func (e *Engine) worker() {
 // and bounded retry. It returns the attempt count alongside the
 // outcome.
 func (e *Engine) runJob(j *job) (*Outcome, int, error) {
-	ctx := j.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Every job body sees the engine's drain controller: Drain pauses
 	// the in-flight simulations at their next cycle boundary and they
 	// come back as Interrupted outcomes carrying checkpoints.
-	ctx = WithDrain(ctx, e.drain)
+	ctx := WithDrain(j.ctx, e.drain)
 	// And the span log, so the body can record its prep stage under the
 	// submitter's trace, and the carcass pool its device comes from.
 	ctx = withSpanLog(ctx, e.spans)

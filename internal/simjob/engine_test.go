@@ -263,3 +263,77 @@ func TestSubmitAfterClose(t *testing.T) {
 		t.Error("submit after Close succeeded")
 	}
 }
+
+// TestSingleFlightJoiner checks that a single-flight job belongs to all
+// of its waiters, not to whoever submitted it first: (a) a joiner with
+// a live context gets the real result after the first submitter gives
+// up, (b) a job whose every submitter gives up is canceled, so an
+// abandoned hedge stops simulating, and (c) a later submitter of the
+// abandoned spec starts a fresh run instead of inheriting the
+// cancellation. Each part uses its own window size, so its own spec
+// and gate.
+func TestSingleFlightJoiner(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 2})
+	started := make(chan struct{}, 4)
+	canceled := make(chan struct{}, 4)
+	gates := map[int]chan struct{}{3: make(chan struct{}), 4: make(chan struct{}), 5: make(chan struct{})}
+	e.execute = func(ctx context.Context, spec JobSpec) (*Outcome, error) {
+		started <- struct{}{}
+		select {
+		case <-gates[spec.IW]:
+			return Execute(ctx, spec)
+		case <-ctx.Done():
+			canceled <- struct{}{}
+			return nil, ctx.Err()
+		}
+	}
+	spec := func(iw int) JobSpec { return JobSpec{Bench: "VECTORADD", Policy: "bow-wr", IW: iw} }
+
+	t.Run("joiner outlives first submitter", func(t *testing.T) {
+		first, cancelFirst := context.WithCancel(context.Background())
+		t1 := e.Submit(first, spec(3))
+		<-started
+		t2 := e.Submit(context.Background(), spec(3))
+		cancelFirst()
+		if _, err := t1.WaitContext(first); !errors.Is(err, context.Canceled) {
+			t.Fatalf("first submitter: err %v, want its own cancellation", err)
+		}
+		close(gates[3])
+		out, err := t2.Wait()
+		if err != nil || out.Summary.Cycles <= 0 {
+			t.Fatalf("joiner: err %v, want the real result", err)
+		}
+		select {
+		case <-canceled:
+			t.Fatal("the job was canceled while a joiner still waited")
+		default:
+		}
+	})
+
+	t.Run("abandoned job is canceled", func(t *testing.T) {
+		only, cancelOnly := context.WithCancel(context.Background())
+		tk := e.Submit(only, spec(4))
+		<-started
+		cancelOnly()
+		select {
+		case <-canceled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a job nobody waits for kept simulating")
+		}
+		if _, err := tk.Wait(); err == nil {
+			t.Fatal("abandoned job reported success")
+		}
+	})
+
+	t.Run("resubmission after abandonment runs afresh", func(t *testing.T) {
+		only, cancelOnly := context.WithCancel(context.Background())
+		e.Submit(only, spec(5))
+		<-started
+		cancelOnly()
+		<-canceled
+		close(gates[5])
+		if _, err := e.Do(context.Background(), spec(5)); err != nil {
+			t.Fatalf("resubmission: %v", err)
+		}
+	})
+}

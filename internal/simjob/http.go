@@ -70,11 +70,11 @@ func NewServer(e *Engine) *Server {
 		requests: make(map[string]int64),
 	}
 	s.mux.HandleFunc("/simulate", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
+		if !RequireMethod(w, r, http.MethodPost) {
 			return
 		}
 		var spec JobSpec
-		if !decodeBody(w, r, &spec) {
+		if !DecodeBody(w, r, &spec) {
 			return
 		}
 		traceID := r.Header.Get(trace.HeaderTraceID)
@@ -91,45 +91,45 @@ func NewServer(e *Engine) *Server {
 		if err != nil {
 			span.Err = err.Error()
 			e.Spans().Record(span)
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		span.Job = out.Hash
 		e.Spans().Record(span)
-		writeJSON(w, SimulateResponse{
+		WriteJSON(w, SimulateResponse{
 			Cached: out.Cached, Result: out.Summary,
 			Interrupted: out.Interrupted, Checkpoint: out.Checkpoint,
 			CheckpointCycle: out.CheckpointCycle,
 		})
 	})
 	s.mux.HandleFunc("/sweep", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodPost) {
+		if !RequireMethod(w, r, http.MethodPost) {
 			return
 		}
 		var sw SweepSpec
-		if !decodeBody(w, r, &sw) {
+		if !DecodeBody(w, r, &sw) {
 			return
 		}
 		ctx := trace.ContextWithID(r.Context(), r.Header.Get(trace.HeaderTraceID))
 		res, err := e.RunSweep(ctx, sw)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, res)
+		WriteJSON(w, res)
 	})
 	s.mux.HandleFunc("/result/", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !RequireMethod(w, r, http.MethodGet) {
 			return
 		}
 		hash := strings.TrimPrefix(r.URL.Path, "/result/")
 		if !validHash(hash) {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("malformed spec hash %q", hash))
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("malformed spec hash %q", hash))
 			return
 		}
 		raw, ok := e.Cache().Peek(hash)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", hash))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", hash))
 			return
 		}
 		s.peerServed.Add(1)
@@ -137,39 +137,22 @@ func NewServer(e *Engine) *Server {
 		_, _ = w.Write(raw)
 	})
 	s.mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !RequireMethod(w, r, http.MethodGet) {
 			return
 		}
-		writeJSON(w, e.Spans().ByTrace(r.URL.Query().Get("trace")))
+		WriteJSON(w, e.Spans().ByTrace(r.URL.Query().Get("trace")))
 	})
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
+		if !RequireMethod(w, r, http.MethodGet) {
 			return
 		}
-		writeJSON(w, map[string]any{"status": "ok", "workers": e.Workers()})
+		WriteJSON(w, map[string]any{"status": "ok", "workers": e.Workers()})
 	})
 	s.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		if s.draining.Load() {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_ = json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
-			return
-		}
-		writeJSON(w, map[string]string{"status": "ready"})
+		ServeReadyz(w, r, s.draining.Load())
 	})
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		if wantsPrometheus(r) {
-			w.Header().Set("Content-Type", prometheusContentType)
-			s.WritePrometheus(w)
-			return
-		}
-		writeJSON(w, s.Metrics())
+		ServeMetrics(w, r, s.WritePrometheus, func() any { return s.Metrics() })
 	})
 	return s
 }
@@ -222,36 +205,64 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
-func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+// The HTTP toolkit below serves every bowd mode: this worker server,
+// the plain coordinator (internal/cluster) and the durable one
+// (internal/durable).
+
+// RequireMethod answers 405 and reports false unless the request uses
+// method.
+func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
-		httpError(w, http.StatusMethodNotAllowed,
+		HTTPError(w, http.StatusMethodNotAllowed,
 			fmt.Errorf("use %s %s", method, r.URL.Path))
 		return false
 	}
 	return true
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody decodes the JSON request body into v, rejecting unknown
+// fields; a body that does not decode is answered 400 and reported
+// false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	// 64 MiB: a plain spec is tiny, but a migrated job arrives with its
 	// checkpoint inlined in JobSpec.FromCheckpoint.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers 200 with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
+// HTTPError answers code with {"error": err}.
+func HTTPError(w http.ResponseWriter, code int, err error) {
+	writeStatus(w, code, map[string]string{"error": err.Error()})
+}
+
+// ServeReadyz answers GET /readyz: {"status":"ready"}, or 503 with
+// {"status":"draining"} once the server has started draining.
+func ServeReadyz(w http.ResponseWriter, r *http.Request, draining bool) {
+	if !RequireMethod(w, r, http.MethodGet) {
+		return
+	}
+	if draining {
+		writeStatus(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		return
+	}
+	WriteJSON(w, map[string]string{"status": "ready"})
+}
+
+func writeStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	_ = json.NewEncoder(w).Encode(v)
 }

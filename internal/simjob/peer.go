@@ -66,13 +66,9 @@ func (e *Engine) fetchPeer(j *job) *Outcome {
 	if needFull {
 		return nil
 	}
-	parent := j.ctx
-	if parent == nil {
-		parent = context.Background()
-	}
 	start := time.Now()
 	for _, pc := range rankPeers(e.peers, j.hash) {
-		ctx, cancel := context.WithTimeout(parent, e.peerTimeout())
+		ctx, cancel := context.WithTimeout(j.ctx, e.peerTimeout())
 		sum, ok, err := pc.Result(ctx, j.hash)
 		cancel()
 		if err != nil || !ok {

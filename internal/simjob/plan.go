@@ -10,8 +10,9 @@ import (
 // will simulate the rest — without simulating anything. RunSweep then
 // executes the plan in one loop: one Workers-sized semaphore for the
 // fork steps, the engine's pool for cold points and for every point a
-// fork step hands back, and one place that turns per-point results
-// into expansion-ordered SweepItems.
+// fork step hands back, and GatherSweep — the fill every sweep server
+// shares — to turn per-point results into expansion-ordered
+// SweepItems.
 
 // sweepClass identifies sweep points that can share work: same
 // benchmark, same machine shape, same cycle bound. The window
@@ -153,7 +154,7 @@ func (e *Engine) RunSweep(ctx context.Context, sw SweepSpec) (*SweepResult, erro
 		sem:     make(chan struct{}, e.Workers()),
 		results: make([]pointResult, len(plan.points)),
 		tickets: make([]*Ticket, len(plan.points)),
-		res:     &SweepResult{Jobs: len(plan.index)},
+		res:     &SweepResult{},
 	}
 	for u, hit := range plan.hits {
 		if hit != nil {
@@ -173,26 +174,15 @@ func (e *Engine) RunSweep(ctx context.Context, sw SweepSpec) (*SweepResult, erro
 	}
 	r.wg.Wait()
 
-	for u, t := range r.tickets {
-		if t != nil {
-			r.results[u] = settled(t.WaitContext(ctx))
-		}
-	}
-	r.res.Items = make([]SweepItem, len(plan.index))
-	for i, u := range plan.index {
+	res := GatherSweep(plan.points, plan.index, func(u int) (JobResult, string, error) {
 		pr := r.results[u]
-		item := SweepItem{Spec: plan.points[u].Spec}
-		if pr.err != nil {
-			item.Error = pr.err.Error()
-			r.res.Failed++
-		} else {
-			item.Cached = pr.cached
-			sum := pr.sum
-			item.Result = &sum
+		if t := r.tickets[u]; t != nil {
+			pr = settled(t.WaitContext(ctx))
 		}
-		r.res.Items[i] = item
-	}
-	return r.res, nil
+		return pr.sum, pr.cached, pr.err
+	}, nil)
+	res.ForkGroups, res.ReusedCycles = r.res.ForkGroups, r.res.ReusedCycles
+	return res, nil
 }
 
 // runEngine submits point u to the engine pool. Its cache probe

@@ -2,6 +2,7 @@ package simjob
 
 import (
 	"fmt"
+	"sync"
 
 	"bow/internal/workloads"
 )
@@ -155,6 +156,49 @@ type SweepResult struct {
 	// Deprecated: lockstep batching was removed; the field stays for
 	// callers that still read it.
 	BatchOccupancy float64 `json:"batchOccupancy,omitempty"`
+}
+
+// GatherSweep runs point for every unique point of a sweep
+// concurrently and collects the outcomes in expansion order: index
+// maps each expanded point to its unique point, as ExpandHashed
+// returns them. point reports a unique point's result, its cache
+// provenance and its error; a failed point becomes an item carrying
+// the error and counts in Failed. onItem, when non-nil, sees each
+// unique point's item as it completes, one call at a time, with
+// done/total counted over unique points.
+func GatherSweep(points []HashedSpec, index []int, point func(u int) (JobResult, string, error), onItem func(done, total int, item SweepItem)) *SweepResult {
+	items := make([]SweepItem, len(points))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	done := 0
+	wg.Add(len(points))
+	for u := range points {
+		go func(u int) {
+			defer wg.Done()
+			item := SweepItem{Spec: points[u].Spec}
+			if sum, cached, err := point(u); err != nil {
+				item.Error = err.Error()
+			} else {
+				item.Cached, item.Result = cached, &sum
+			}
+			items[u] = item
+			if onItem != nil {
+				mu.Lock()
+				done++
+				onItem(done, len(points), item)
+				mu.Unlock()
+			}
+		}(u)
+	}
+	wg.Wait()
+	res := &SweepResult{Jobs: len(index), Items: make([]SweepItem, len(index))}
+	for i, u := range index {
+		res.Items[i] = items[u]
+		if items[u].Error != "" {
+			res.Failed++
+		}
+	}
+	return res
 }
 
 func orDefault(v, def []string) []string {
