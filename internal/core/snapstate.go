@@ -122,11 +122,6 @@ func (e *Engine) LoadState(dec *snap.Decoder) {
 	}
 }
 
-// WindowEmpty reports whether the BOC holds no live entries. The forked
-// sweep planner checks this before restoring a warm-up snapshot into a
-// differently windowed configuration.
-func (e *Engine) WindowEmpty() bool { return len(e.live) == 0 }
-
 // SaveState serializes one warp-wide value.
 func (v *Value) SaveState(enc *snap.Encoder) { enc.Words(v[:]) }
 

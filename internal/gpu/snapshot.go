@@ -43,24 +43,37 @@ func (d *Device) KernelHash() string { return d.kernel.StateHash() }
 // in the header so the snapshot is self-describing. Returns the content
 // hash of the written stream.
 func (d *Device) Snapshot(w io.Writer, specJSON []byte) (string, error) {
-	payload, err := d.payload()
+	blob, sum, err := d.SnapshotBytes(specJSON)
 	if err != nil {
-		return "", fmt.Errorf("gpu: snapshot: %w", err)
+		return "", err
 	}
+	if _, err := w.Write(blob); err != nil {
+		return "", fmt.Errorf("gpu: snapshot: write: %w", err)
+	}
+	return sum, nil
+}
+
+// SnapshotBytes is Snapshot into memory: it returns the same stream as
+// one exactly sized blob (snap.EncodeBlob), with its content hash.
+// Checkpoints that stay in memory — forked warm-ups, paused jobs — use
+// it so the blob is never copied through a writer.
+func (d *Device) SnapshotBytes(specJSON []byte) ([]byte, string, error) {
 	h := snap.Header{
-		Version:    snap.FormatVersion,
 		Cycle:      d.cycles,
 		ConfigHash: d.ConfigHash(),
 		KernelHash: d.KernelHash(),
 		SpecJSON:   specJSON,
 	}
-	return snap.Encode(w, h, payload)
+	blob, sum, err := snap.EncodeBlob(h, d.SaveState)
+	if err != nil {
+		return nil, "", fmt.Errorf("gpu: snapshot: %w", err)
+	}
+	return blob, sum, nil
 }
 
-// payload encodes the device state: the sections a snapshot stream
-// frames behind its header.
-func (d *Device) payload() ([]byte, error) {
-	enc := snap.NewEncoder()
+// SaveState encodes the device state: the payload sections a snapshot
+// stream frames behind its header.
+func (d *Device) SaveState(enc *snap.Encoder) {
 	enc.Section(secDevice)
 	enc.Int(d.nextCTA)
 	enc.Int(len(d.sms))
@@ -72,7 +85,6 @@ func (d *Device) payload() ([]byte, error) {
 		enc.Section(secSMBase + uint32(i))
 		s.SaveState(enc)
 	}
-	return enc.Bytes()
 }
 
 // Restore loads a snapshot stream into a freshly constructed device.

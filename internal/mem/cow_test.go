@@ -8,8 +8,9 @@ import (
 	"bow/internal/snap"
 )
 
-// TestForkIsolation checks that writes after a Fork are invisible
-// across the fork in both directions.
+// TestForkIsolation checks that writes after a Seal are invisible
+// between the sealed memory and a copy-on-write child of its image, in
+// both directions.
 func TestForkIsolation(t *testing.T) {
 	m := NewMemory()
 	for i := uint32(0); i < 3000; i++ {
@@ -17,7 +18,7 @@ func TestForkIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	child := m.Fork()
+	child := m.Seal().NewMemory()
 
 	if err := child.Write32(0, 999); err != nil {
 		t.Fatal(err)
@@ -38,15 +39,15 @@ func TestForkIsolation(t *testing.T) {
 }
 
 // TestForkPageCacheWriteAfterRead drives the one-entry page cache
-// hazard: a read caches a shared base page, and a subsequent write to
-// the same page must still copy-on-write rather than scribble on the
-// shared page.
+// hazard: a child's read caches a shared base page, and a subsequent
+// write to the same page must still copy-on-write rather than scribble
+// on the shared page.
 func TestForkPageCacheWriteAfterRead(t *testing.T) {
 	m := NewMemory()
 	if err := m.Write32(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	child := m.Fork()
+	child := m.Seal().NewMemory()
 	if v, _ := child.Read32(0); v != 7 { // caches the RO base page
 		t.Fatalf("read = %d", v)
 	}
@@ -61,14 +62,14 @@ func TestForkPageCacheWriteAfterRead(t *testing.T) {
 	}
 }
 
-// TestForkAtomicAdd checks the read-modify-write path also
-// copies-on-write.
+// TestForkAtomicAdd checks the read-modify-write path of an image's
+// child also copies-on-write.
 func TestForkAtomicAdd(t *testing.T) {
 	m := NewMemory()
 	if err := m.Write32(8, 10); err != nil {
 		t.Fatal(err)
 	}
-	child := m.Fork()
+	child := m.Seal().NewMemory()
 	old, err := child.AtomicAdd(8, 5)
 	if err != nil || old != 10 {
 		t.Fatalf("AtomicAdd = %d, %v", old, err)
@@ -79,7 +80,8 @@ func TestForkAtomicAdd(t *testing.T) {
 }
 
 // TestMemoryStateRoundTrip checks SaveState/LoadState preserve
-// contents, including the merged base+overlay view of a forked memory.
+// contents, including the merged base+overlay view of an image's
+// copy-on-write child.
 func TestMemoryStateRoundTrip(t *testing.T) {
 	m := NewMemory()
 	for i := uint32(0); i < 2500; i += 7 {
@@ -87,7 +89,7 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	child := m.Fork()
+	child := m.Seal().NewMemory()
 	if err := child.Write32(0, 12345); err != nil { // overlay shadows base
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 	}
 
 	// Serialization is deterministic: a restored image re-serializes to
-	// the same bytes even though its fork topology differs.
+	// the same bytes even though its page tiers differ.
 	enc2 := snap.NewEncoder()
 	restored.SaveState(enc2)
 	payload2, err := enc2.Bytes()
@@ -118,7 +120,7 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(payload, payload2) {
-		t.Fatal("memory serialization not canonical across fork topologies")
+		t.Fatal("memory serialization not canonical across page tiers")
 	}
 }
 

@@ -26,15 +26,16 @@ const pageWords = 1024
 // synchronized. It is not safe for concurrent use.
 //
 // Pages come in two tiers: a private overlay (pages) and an optional
-// frozen base shared with other Memories created by Fork. Reads fall
-// through the overlay to the base; the first write to a base page
-// copies it into the overlay (copy-on-write). Forking a warm-up state
-// for N sweep points is therefore a map-share, not a deep page walk.
+// frozen base shared with other Memories through Seal and
+// Image.NewMemory. Reads fall through the overlay to the base; the first
+// write to a base page copies it into the overlay (copy-on-write).
+// Handing N simulations one initial image is therefore a map-share, not
+// a deep page walk.
 //
 //bow:state
 type Memory struct {
 	pages    map[uint32]*[pageWords]uint32
-	base     map[uint32]*[pageWords]uint32 // frozen, shared across forks; never written
+	base     map[uint32]*[pageWords]uint32 // frozen, shared with an Image and its children; never written
 	last     *[pageWords]uint32            //bow:derived -- one-entry page cache; LoadState invalidates it
 	lastPage uint32                        //bow:derived -- cached page number (^0 when none); LoadState invalidates it
 	lastRO   bool                          //bow:derived -- cached page's tier flag; LoadState invalidates it
@@ -90,41 +91,19 @@ func (m *Memory) page(idx uint32) *[pageWords]uint32 {
 	return p
 }
 
-// Fork freezes this memory's current pages into the shared base tier
-// and returns a new Memory seeing the same contents. Both the receiver
-// and the fork copy-on-write from the shared base afterwards, so
-// neither can observe the other's writes. O(pages-in-overlay), with no
-// page data copied.
-func (m *Memory) Fork() *Memory {
-	if m.base == nil {
-		m.base = make(map[uint32]*[pageWords]uint32, len(m.pages))
-	}
-	for pn, p := range m.pages {
-		m.base[pn] = p
-		delete(m.pages, pn)
-	}
-	m.last, m.lastPage, m.lastRO = nil, ^uint32(0), false
-	return &Memory{
-		pages:    make(map[uint32]*[pageWords]uint32),
-		base:     m.base,
-		lastPage: ^uint32(0),
-	}
-}
-
 // Image is a frozen, immutable memory image shared read-only across
-// simulations: the base-tier page map with no owner. Unlike Fork —
-// which mutates the receiver and therefore needs external
-// synchronization — an Image has no mutable state at all, so any
-// number of goroutines may call NewMemory concurrently. It is the
-// artifact layer's vehicle for building a benchmark's initial memory
-// once per sweep and handing every job a copy-on-write child.
+// simulations: the base-tier page map with no owner. An Image has no
+// mutable state at all, so any number of goroutines may call NewMemory
+// concurrently. It is the artifact layer's vehicle for building a
+// benchmark's initial memory once per sweep and handing every job a
+// copy-on-write child.
 type Image struct {
 	base map[uint32]*[pageWords]uint32
 }
 
 // Seal freezes the memory's current contents into an immutable Image
 // and returns it. The receiver keeps seeing the same contents (its
-// pages move to the shared base tier, exactly as Fork does) but must
+// pages move to the shared base tier and copy-on-write from it) but must
 // not be written concurrently with Image.NewMemory calls; sealing a
 // memory that is then set aside is the safe pattern.
 func (m *Memory) Seal() *Image {

@@ -2,7 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"bow/internal/snap"
 )
@@ -20,7 +20,7 @@ func (m *Memory) SaveState(enc *snap.Encoder) {
 			pns = append(pns, pn)
 		}
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	enc.U32(uint32(len(pns)))
 	for _, pn := range pns {
 		p := m.pages[pn]
@@ -33,8 +33,8 @@ func (m *Memory) SaveState(enc *snap.Encoder) {
 }
 
 // LoadState replaces the memory contents with the serialized page set.
-// Pages land in the private overlay; call Fork afterwards to share the
-// restored image copy-on-write across several simulations.
+// Pages land in the private overlay; Seal the memory afterwards to share
+// the restored image copy-on-write across several simulations.
 func (m *Memory) LoadState(dec *snap.Decoder) {
 	m.pages = make(map[uint32]*[pageWords]uint32)
 	m.base = nil

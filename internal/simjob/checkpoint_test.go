@@ -5,8 +5,73 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"bow/internal/artifact"
+	"bow/internal/gpu"
 )
+
+// raceEnabled reports a -race build (set by race_test.go).
+var raceEnabled bool
+
+// TestSnapshotEncodeAllocs bounds what a checkpoint encode allocates:
+// once the pooled scratch buffer is warm, each checkpointDevice call on
+// a live device may allocate at most 1.25x the blob it returns — the
+// exactly sized blob itself plus small change (spec JSON, hex hashes,
+// the memory page list). A second full-size copy of the stream, or a
+// scratch buffer regrown per call, fails it.
+func TestSnapshotEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	spec, err := JobSpec{Bench: "SAD", Policy: PolicyBaseline}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcfg, err := spec.coreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, err := artifact.Default.Kernel(artifact.KeyForConfig(spec.Bench, bcfg, spec.Reorder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := artifact.Default.Image(spec.Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gpu.New(spec.gpuConfig(), bcfg, pk.NewSMKernel(), img.NewMemory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done, err := d.RunUntil(context.Background(), 0, DefaultWarmupCycles); err != nil || done {
+		t.Fatalf("warm-up: done=%v err=%v", done, err)
+	}
+
+	// One P, so the pool's per-P slot the warm call fills is the one
+	// every measured call reads.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	blob, _, err := checkpointDevice(d, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, _, err := checkpointDevice(d, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	if limit := 1.25 * float64(len(blob)); perCall > limit {
+		t.Fatalf("checkpoint encode allocated %.0f bytes per call for a %d-byte blob (%.2fx; limit 1.25x)",
+			perCall, len(blob), perCall/float64(len(blob)))
+	}
+	t.Logf("%.0f bytes per call for a %d-byte blob (%.3fx)", perCall, len(blob), perCall/float64(len(blob)))
+}
 
 // TestCheckpointResumeMatchesColdRun pins the resume invariant the
 // cache key design rests on: pausing a job mid-run (ExecuteUntil),

@@ -1,7 +1,6 @@
 package simjob
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -229,9 +228,9 @@ func checkpointDevice(d *gpu.Device, spec JobSpec) ([]byte, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var buf bytes.Buffer
-	if _, err := d.Snapshot(&buf, specJSON); err != nil {
+	blob, _, err := d.SnapshotBytes(specJSON)
+	if err != nil {
 		return nil, 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	return buf.Bytes(), d.Cycles(), nil
+	return blob, d.Cycles(), nil
 }

@@ -747,15 +747,3 @@ func (s *SM) loadCaptureMaps(dec *snap.Decoder) {
 		s.Traces[key] = insts
 	}
 }
-
-// WindowsEmpty reports whether every warp's BOC window is empty; the
-// forked sweep planner requires this before restoring a snapshot into a
-// differently windowed configuration.
-func (s *SM) WindowsEmpty() bool {
-	for _, eng := range s.engines {
-		if !eng.WindowEmpty() {
-			return false
-		}
-	}
-	return true
-}

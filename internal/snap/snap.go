@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Magic identifies a BOW snapshot stream.
@@ -56,7 +57,7 @@ const maxSnapshotBytes = 1 << 30
 //bow:state
 type Header struct {
 	// Version is the snapshot format version (FormatVersion).
-	//bow:snapskip -- Encode stamps the FormatVersion constant, never a Header value; Decode fills this for the caller
+	//bow:snapskip -- EncodeBlob stamps the FormatVersion constant, never a Header value; Decode fills this for the caller
 	Version uint32
 	// Cycle is the device cycle the state was captured at.
 	Cycle int64
@@ -449,37 +450,63 @@ func (d *Decoder) WordsInto(dst []uint32) {
 	d.off += 4 * len(dst)
 }
 
-// Encode writes a complete snapshot stream: magic, header, payload,
-// and the SHA-256 content hash over all preceding bytes. It returns
-// the hex content hash, which is stable across identical states and
-// keys snapshots in content-addressed stores.
-func Encode(w io.Writer, h Header, payload []byte) (string, error) {
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint32(scratch[:4], FormatVersion)
-	buf.Write(scratch[:4])
-	binary.LittleEndian.PutUint64(scratch[:], uint64(h.Cycle))
-	buf.Write(scratch[:])
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(s)))
-		buf.Write(scratch[:4])
-		buf.WriteString(s)
+// encoderPool recycles payload scratch buffers across snapshots. A
+// device snapshot is a few hundred KB; growing a fresh buffer by
+// doubling for every checkpoint would allocate several times the blob
+// it produces.
+var encoderPool = sync.Pool{New: func() any { return NewEncoder() }}
+
+// EncodeBlob encodes a complete snapshot stream — magic, header, the
+// payload fill writes, and the SHA-256 content hash over all preceding
+// bytes — and returns it as one blob of exactly its final length, with
+// the hex content hash. Every header field is known up front, so header
+// and payload are written into one pooled scratch buffer and hashed in
+// place; once that buffer is warm, the returned blob is the only
+// allocation that grows with the snapshot. The hash is stable across
+// identical states and keys snapshots in content-addressed stores.
+func EncodeBlob(h Header, fill func(*Encoder)) ([]byte, string, error) {
+	e := encoderPool.Get().(*Encoder)
+	defer encoderPool.Put(e)
+	e.buf, e.secStart, e.err = appendHeader(e.buf[:0], h), -1, nil
+	lenAt := len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0, 0, 0, 0, 0) // payload length, patched below
+	fill(e)
+	if e.err != nil {
+		return nil, "", e.err
 	}
-	writeStr(h.ConfigHash)
-	writeStr(h.KernelHash)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(h.SpecJSON)))
-	buf.Write(scratch[:4])
-	buf.Write(h.SpecJSON)
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(payload)))
-	buf.Write(scratch[:])
-	buf.Write(payload)
-	sum := sha256.Sum256(buf.Bytes())
-	buf.Write(sum[:])
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	e.closeSection()
+	binary.LittleEndian.PutUint64(e.buf[lenAt:], uint64(len(e.buf)-lenAt-8))
+	sum := sha256.Sum256(e.buf)
+	blob := make([]byte, len(e.buf)+len(sum))
+	copy(blob[copy(blob, e.buf):], sum[:])
+	return blob, hex.EncodeToString(sum[:]), nil
+}
+
+// appendHeader appends the stream prefix: magic, format version, cycle,
+// the two fingerprints and the spec JSON, each length-prefixed.
+func appendHeader(b []byte, h Header) []byte {
+	b = append(b, Magic...)
+	b = binary.LittleEndian.AppendUint32(b, FormatVersion)
+	b = binary.LittleEndian.AppendUint64(b, uint64(h.Cycle))
+	for _, s := range [...]string{h.ConfigHash, h.KernelHash} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(h.SpecJSON)))
+	return append(b, h.SpecJSON...)
+}
+
+// Encode writes the snapshot stream EncodeBlob builds around an
+// already encoded payload, and returns its content hash.
+func Encode(w io.Writer, h Header, payload []byte) (string, error) {
+	blob, sum, err := EncodeBlob(h, func(e *Encoder) { e.buf = append(e.buf, payload...) })
+	if err != nil {
+		return "", err
+	}
+	if _, err := w.Write(blob); err != nil {
 		return "", fmt.Errorf("snap: write: %w", err)
 	}
-	return hex.EncodeToString(sum[:]), nil
+	return sum, nil
 }
 
 // headerReader decodes the stream prefix shared by ReadHeader and
@@ -624,22 +651,4 @@ func decodeBody(body []byte) (Header, *Decoder, error) {
 		return Header{}, nil, fmt.Errorf("snap: %d trailing bytes after payload", br.Len()-int(n))
 	}
 	return h, NewDecoder(body[len(body)-br.Len():]), nil
-}
-
-// ContentHash returns the content hash an Encode of (h, payload) would
-// produce, without writing anywhere.
-func ContentHash(h Header, payload []byte) string {
-	var sink countWriter
-	hash, err := Encode(&sink, h, payload)
-	if err != nil {
-		return ""
-	}
-	return hash
-}
-
-type countWriter struct{ n int }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += len(p)
-	return len(p), nil
 }

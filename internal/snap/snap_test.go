@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -129,20 +131,94 @@ func TestDeterministicEncoding(t *testing.T) {
 	if h1 != h2 {
 		t.Fatalf("content hash not stable: %s vs %s", h1, h2)
 	}
-	if ContentHash(Header{Cycle: 9}, mustPayload(t)) != h1 {
-		t.Fatal("ContentHash disagrees with Encode")
+	blob, h3, err := EncodeBlob(Header{Cycle: 9}, func(e *Encoder) {
+		e.Section(7)
+		e.U32s([]uint32{4, 5, 6})
+	})
+	if err != nil || h3 != h1 || !bytes.Equal(blob, b1) {
+		t.Fatalf("EncodeBlob disagrees with Encode of the same payload (err %v)", err)
 	}
 }
 
-func mustPayload(t *testing.T) []byte {
-	enc := NewEncoder()
-	enc.Section(7)
-	enc.U32s([]uint32{4, 5, 6})
-	payload, err := enc.Bytes()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
+// TestSnapshotEncodeBlobReusesScratch interleaves large, failed and small
+// encodes through the pooled scratch buffer: no state of one encode may
+// leak into the next, and every blob is exactly as long as its stream.
+func TestSnapshotEncodeBlobReusesScratch(t *testing.T) {
+	big := func(e *Encoder) {
+		e.Section(1)
+		e.Words(make([]uint32, 1<<16))
+		e.Section(2) // left open: EncodeBlob closes it
+		e.U64(3)
 	}
-	return payload
+	small := func(e *Encoder) {
+		e.Section(7)
+		e.U32s([]uint32{4, 5, 6})
+	}
+	fail := func(e *Encoder) {
+		e.Section(1)
+		e.Fail(errors.New("boom"))
+	}
+	want, wantSum, err := EncodeBlob(Header{Cycle: 9}, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		b, _, err := EncodeBlob(Header{Cycle: 2, SpecJSON: []byte("{}")}, big)
+		if err != nil || len(b) != cap(b) {
+			t.Fatalf("big encode: len %d cap %d err %v", len(b), cap(b), err)
+		}
+		_, dec, err := DecodeBytes(b)
+		if err != nil {
+			t.Fatalf("big blob does not decode: %v", err)
+		}
+		dec.Section(1)
+		if dec.WordsInto(make([]uint32, 1<<16)); dec.Err() != nil {
+			t.Fatalf("big blob's first section does not decode: %v", dec.Err())
+		}
+		if _, _, err := EncodeBlob(Header{}, fail); err == nil {
+			t.Fatal("a failed encode returned no error")
+		}
+		got, sum, err := EncodeBlob(Header{Cycle: 9}, small)
+		if err != nil || sum != wantSum || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: small encode after reuse differs (err %v)", i, err)
+		}
+	}
+}
+
+// TestSnapshotEncodeBlobConcurrent encodes from several goroutines at once
+// through the shared scratch pool; each must get exactly its own
+// stream back.
+func TestSnapshotEncodeBlobConcurrent(t *testing.T) {
+	fill := func(n int) func(*Encoder) {
+		return func(e *Encoder) {
+			e.Section(1)
+			e.Words(make([]uint32, n))
+			e.U32(uint32(n))
+		}
+	}
+	want := make([][]byte, 4)
+	for g := range want {
+		b, _, err := EncodeBlob(Header{Cycle: int64(g)}, fill(1000*(g+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g] = b
+	}
+	var wg sync.WaitGroup
+	for g := range want {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				b, _, err := EncodeBlob(Header{Cycle: int64(g)}, fill(1000*(g+1)))
+				if err != nil || !bytes.Equal(b, want[g]) {
+					t.Errorf("goroutine %d encode %d: got a different stream (err %v)", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestCorruptionDetected flips a payload byte and checks the content
