@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -229,6 +230,26 @@ func allExperiments() []experiment {
 	}
 }
 
+// render runs the experiments whose id is expID (every one when expID
+// is empty) on r and writes each table under its title, in roster
+// order. It returns how many experiments ran; the first failure stops
+// the run.
+func render(w io.Writer, r *experiments.Runner, exps []experiment, expID string) (int, error) {
+	ran := 0
+	for _, e := range exps {
+		if expID != "" && e.id != expID {
+			continue
+		}
+		out, err := e.run(r)
+		if err != nil {
+			return ran, fmt.Errorf("%s: %w", e.id, err)
+		}
+		fmt.Fprintf(w, "==== %s ====\n%s\n", e.title, out)
+		ran++
+	}
+	return ran, nil
+}
+
 func main() {
 	expID := flag.String("exp", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiment ids")
@@ -308,18 +329,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bowbench: prewarming %d points on %d workers\n", n, *workers)
 		}
 	}
-	ran := 0
-	for _, e := range exps {
-		if *expID != "" && e.id != *expID {
-			continue
-		}
-		out, err := e.run(r)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bowbench: %s: %v\n", e.id, err)
-			os.Exit(1)
-		}
-		fmt.Printf("==== %s ====\n%s\n", e.title, out)
-		ran++
+	ran, err := render(os.Stdout, r, exps, *expID)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bowbench:", err)
+		os.Exit(1)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "bowbench: unknown experiment %q (try -list)\n", *expID)
