@@ -6,7 +6,8 @@
 //	bowctl [-coord http://localhost:8080] [-api-key KEY] status
 //	bowctl [-coord URL] [-api-key KEY] sweep [-benches SAD,LIB] [-policies baseline,bow-wr]
 //	       [-iws 2,3,4] [-capacities ...] [-sms ...] [-schedulers gto,lrr]
-//	       [-maxcycles N] [-fork] [-warmup N] [-json] [-quiet] [-trace] [-traceid ID]
+//	       [-maxcycles N] [-json] [-quiet] [-trace] [-traceid ID]
+//	       (-fork, -warmup N, -batch and -batchsize N are accepted and ignored)
 //	bowctl [-coord URL] [-api-key KEY] tenants
 //	bowctl [-coord URL] trace -id ID
 //
@@ -94,8 +95,8 @@ func usage() {
   bowctl [-coord URL] [-api-key KEY] status
   bowctl [-coord URL] [-api-key KEY] sweep [-benches a,b] [-policies p,q] [-iws 2,3]
          [-capacities n,m] [-sms 1,2] [-schedulers gto,lrr]
-         [-maxcycles N] [-fork] [-warmup N] [-json] [-quiet] [-trace] [-traceid ID]
-         (-batch and -batchsize N are accepted and ignored)
+         [-maxcycles N] [-json] [-quiet] [-trace] [-traceid ID]
+         (-fork, -warmup N, -batch and -batchsize N are accepted and ignored)
   bowctl [-coord URL] [-api-key KEY] tenants
   bowctl [-coord URL] trace -id ID
 `)
@@ -223,10 +224,10 @@ func runSweep(base string, args []string) error {
 	sms := fs.String("sms", "", "comma-separated SM counts")
 	schedulers := fs.String("schedulers", "", "comma-separated schedulers (gto,lrr)")
 	maxCycles := fs.Int64("maxcycles", 0, "per-job cycle bound (0 = default)")
-	forkPrefix := fs.Bool("fork", false, "warm-up prefix forking: points sharing a (bench,sms,scheduler) class resume one shared warm-up snapshot instead of re-simulating it (honored when the target is a worker bowd; a coordinator shards per point and runs cold)")
-	warmup := fs.Int64("warmup", 0, "with -fork: shared warm-up prefix length in cycles (0 = engine default; implies -fork)")
-	fs.Bool("batch", false, "ignored: accepted so existing scripts keep working; every point not forked runs as its own job")
-	fs.Int("batchsize", 0, "ignored, like -batch")
+	fs.Bool("fork", false, "ignored: accepted so existing scripts keep working; every point runs as its own job")
+	fs.Int64("warmup", 0, "ignored, like -fork")
+	fs.Bool("batch", false, "ignored, like -fork")
+	fs.Int("batchsize", 0, "ignored, like -fork")
 	jsonOut := fs.Bool("json", false, "print the aggregate SweepResult JSON instead of tables")
 	quiet := fs.Bool("quiet", false, "suppress per-point progress lines")
 	traced := fs.Bool("trace", false, "tag the sweep with a trace ID and render its spans afterwards")
@@ -244,16 +245,11 @@ func runSweep(base string, args []string) error {
 		fmt.Fprintf(os.Stderr, "trace id: %s\n", *traceID)
 	}
 
-	if *warmup > 0 {
-		*forkPrefix = true
-	}
 	sw := simjob.SweepSpec{
-		Benches:      splitCSV(*benches),
-		Policies:     splitCSV(*policies),
-		Schedulers:   splitCSV(*schedulers),
-		MaxCycles:    *maxCycles,
-		ForkPrefix:   *forkPrefix,
-		WarmupCycles: *warmup,
+		Benches:    splitCSV(*benches),
+		Policies:   splitCSV(*policies),
+		Schedulers: splitCSV(*schedulers),
+		MaxCycles:  *maxCycles,
 	}
 	var err error
 	if sw.IWs, err = splitInts(*iws); err != nil {
@@ -335,7 +331,7 @@ func runSweep(base string, args []string) error {
 		}
 	} else {
 		// Worker bowd: the stream param is ignored and the whole sweep
-		// (forked when -fork asked for it) arrives as one document.
+		// arrives as one document.
 		var res simjob.SweepResult
 		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 			return err
@@ -383,10 +379,6 @@ func runSweep(base string, args []string) error {
 	fmt.Print(tbl.String())
 	if summary != nil {
 		fmt.Printf("\n%d jobs (%d unique), %d failed\n", summary.Jobs, len(items), summary.Failed)
-		if summary.ForkGroups > 0 {
-			fmt.Printf("forked %d warm-up group(s), %d simulated cycles reused\n",
-				summary.ForkGroups, summary.ReusedCycles)
-		}
 	} else if failed > 0 {
 		fmt.Printf("\n%d of %d points failed\n", failed, len(items))
 	}

@@ -50,7 +50,7 @@ func PassForPolicy(bcfg core.Config) (hints string, param int) {
 }
 
 // KeyForConfig is the kernel key every acquisition path (per-job,
-// forked warm-up, inline experiments) prepares a benchmark
+// resumed, inline experiments) prepares a benchmark
 // under bcfg with: the annotation pass of bcfg's policy, and the
 // reorder pass, which consumes the window size, contributing IW when
 // the annotation pass took no parameter.

@@ -66,8 +66,8 @@ func NewCache(maxKernels, maxImages int) *Cache {
 }
 
 // Default is the process-wide artifact cache every simulation path
-// shares: the job engine, the forked-sweep planner, and the experiment
-// runner's inline path all draw from it,
+// shares: the job engine and the experiment runner's inline path both
+// draw from it,
 // so one sweep's preparation work is visible to the next.
 var Default = NewCache(0, 0)
 

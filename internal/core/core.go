@@ -743,9 +743,9 @@ func (e *Engine) deallocLastUse(en *entry) {
 // drainInterval empties the ltrf buffer at a prefetch-interval
 // boundary: dirty un-superseded values are written back to the RF in
 // insertion order, everything else is simply freed. An empty buffer
-// drains for free (and is not counted), which keeps a forked resume —
-// restored with an empty buffer and interval -1 — on the cold run's
-// exact statistics.
+// drains for free (and is not counted), which keeps a cross-policy
+// resume — restored with an empty buffer and interval -1 — on the cold
+// run's exact statistics.
 //
 //bow:hotpath
 func (e *Engine) drainInterval() {

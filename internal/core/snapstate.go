@@ -75,8 +75,8 @@ func (e *Engine) SaveState(enc *snap.Encoder) {
 }
 
 // LoadState restores a window written by SaveState. The target engine
-// may be configured differently from the source (forked sweeps restore
-// a baseline warm-up into bypassing configurations): that is accepted
+// may be configured differently from the source (a baseline snapshot
+// restored into a bypassing configuration): that is accepted
 // exactly when the serialized window is empty, because an empty window
 // is a valid state of every configuration. A non-empty window only
 // restores into a configuration that can hold it.

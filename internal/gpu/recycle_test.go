@@ -168,11 +168,14 @@ func TestRecycledPolicyTransitions(t *testing.T) {
 	}
 }
 
-// TestRecycledForkedRestore is the forked-sweep shape on recycled
-// devices: a baseline warm-up snapshot restored into a device built
+// TestRecycledCrossPolicyRestore pins the rule that a snapshot with
+// empty operand windows restores into any window configuration, on
+// recycled devices: a baseline snapshot restored into a device built
 // from another config's carcass must resume bit-identically to the
 // same snapshot restored into a fresh device, for every roster config.
-func TestRecycledForkedRestore(t *testing.T) {
+// The benchmark's trace probe relies on this rule when it restores a
+// baseline snapshot into a bow-wt device.
+func TestRecycledCrossPolicyRestore(t *testing.T) {
 	l := newRecycleLauncher(t, "VECTORADD")
 	warm, _ := l.build(core.Config{Policy: core.PolicyBaseline}, nil, false)
 	if _, done, err := warm.RunUntil(context.Background(), 0, 256); err != nil || done {
@@ -199,7 +202,7 @@ func TestRecycledForkedRestore(t *testing.T) {
 			t.Fatalf("%s: restore into recycled: %v", rosterName(b), err)
 		}
 		if got := l.run(d, m, b); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s (carcass of %s): forked resume on a recycled device diverges",
+			t.Errorf("%s (carcass of %s): cross-policy resume on a recycled device diverges",
 				rosterName(b), rosterName(a))
 		}
 	}

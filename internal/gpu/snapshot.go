@@ -21,8 +21,10 @@ const (
 
 // ConfigHash fingerprints the chip configuration. It deliberately
 // excludes the BOW window configuration (core.Config): window state is
-// checked structurally on restore, which is what lets a forked sweep
-// restore one warm-up snapshot into many window configurations.
+// checked structurally on restore, so a snapshot whose operand windows
+// are empty (any baseline snapshot) restores into every window
+// configuration of the same chip. The hash is part of the snapshot
+// header, so changing what it covers would move every pinned stream.
 func (d *Device) ConfigHash() string {
 	b, err := json.Marshal(d.cfg)
 	if err != nil {
@@ -55,8 +57,8 @@ func (d *Device) Snapshot(w io.Writer, specJSON []byte) (string, error) {
 
 // SnapshotBytes is Snapshot into memory: it returns the same stream as
 // one exactly sized blob (snap.EncodeBlob), with its content hash.
-// Checkpoints that stay in memory — forked warm-ups, paused jobs — use
-// it so the blob is never copied through a writer.
+// Checkpoints that stay in memory, such as paused and drained jobs,
+// use it so the blob is never copied through a writer.
 func (d *Device) SnapshotBytes(specJSON []byte) ([]byte, string, error) {
 	h := snap.Header{
 		Cycle:      d.cycles,
@@ -101,22 +103,11 @@ func (d *Device) Restore(r io.Reader) (snap.Header, error) {
 }
 
 // RestoreBytes is Restore over an in-memory snapshot, decoding the
-// blob in place (snap.DecodeBytes) instead of buffering a copy. The
-// blob must not be mutated during the call; checkpoint resumption uses
-// this path for every forked sweep point and migrated job.
+// blob in place (snap.DecodeBytes, which checks the content hash)
+// instead of buffering a copy. The blob must not be mutated during the
+// call; every checkpoint resume and migrated job restores through it.
 func (d *Device) RestoreBytes(blob []byte) (snap.Header, error) {
-	return d.restoreDecoded(snap.DecodeBytes(blob))
-}
-
-// RestorePreverified is RestoreBytes for a blob whose content hash is
-// already known good (snap.DecodeBytesPreverified): forked sweeps
-// restore one warm-up snapshot into every point of the class and only
-// pay the hash once, at the warm-up that encoded it.
-func (d *Device) RestorePreverified(blob []byte) (snap.Header, error) {
-	return d.restoreDecoded(snap.DecodeBytesPreverified(blob))
-}
-
-func (d *Device) restoreDecoded(h snap.Header, dec *snap.Decoder, err error) (snap.Header, error) {
+	h, dec, err := snap.DecodeBytes(blob)
 	if err != nil {
 		return h, err
 	}

@@ -185,45 +185,6 @@ func TestEngineDrainHandsBackCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunSweepForkedFallsBackWhenKernelTooShort: a warm-up longer than
-// the kernel leaves nothing to fork — the class must fall back to cold
-// engine runs that match a plain sweep exactly.
-func TestRunSweepForkedFallsBackWhenKernelTooShort(t *testing.T) {
-	sw := SweepSpec{
-		Benches:      []string{"VECTORADD"},
-		Policies:     []string{"bow-wt", "bow-wb"},
-		ForkPrefix:   true,
-		WarmupCycles: 10_000_000, // far beyond the kernel's runtime
-	}
-	e := newTestEngine(t, Options{Workers: 2})
-	res, err := e.RunSweep(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ForkGroups != 0 || res.ReusedCycles != 0 {
-		t.Errorf("short kernel still forked: groups=%d reused=%d", res.ForkGroups, res.ReusedCycles)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("fallback sweep failed %d items", res.Failed)
-	}
-
-	cold := SweepSpec{Benches: sw.Benches, Policies: sw.Policies}
-	ref, err := newTestEngine(t, Options{Workers: 2}).RunSweep(context.Background(), cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Items {
-		if res.Items[i].Cached == "forked" {
-			t.Errorf("item %d marked forked on the fallback path", i)
-		}
-		want, _ := ref.Items[i].Result.CanonicalJSON()
-		got, _ := res.Items[i].Result.CanonicalJSON()
-		if !bytes.Equal(want, got) {
-			t.Errorf("fallback item %d diverged from plain sweep:\n%s\n%s", i, want, got)
-		}
-	}
-}
-
 // TestDiskCacheCorruptionIsAMiss deliberately damages on-disk cache
 // files and asserts each damaged shape is detected by the content-hash
 // envelope, treated as a miss, re-simulated, and rewritten valid.
@@ -355,57 +316,5 @@ func TestCheckpointResumeNewPolicies(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunSweepForkedCrossPolicy is the regression test for the fork
-// planner's warm-up contract: the shared prefix always simulates under
-// the *baseline* policy, and its snapshot (empty operand windows,
-// engine interval -1) must restore into every rival architecture's
-// engine — carfc's capacity cache, ltrf's prefetch buffer, scrf's
-// compression accounting — exactly as a cold start would. A policy the
-// warm-up snapshot cannot feed would surface here as a failed item.
-func TestRunSweepForkedCrossPolicy(t *testing.T) {
-	e := newTestEngine(t, Options{Workers: 4})
-	const warm = 64
-	sw := SweepSpec{
-		Benches:      []string{"SAD"},
-		Policies:     []string{PolicyBaseline, PolicyBOWWB, PolicyRFC, PolicyCARFC, PolicyLTRF, PolicySCRF},
-		ForkPrefix:   true,
-		WarmupCycles: warm,
-	}
-	res, err := e.RunSweep(context.Background(), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		for _, it := range res.Items {
-			if it.Error != "" {
-				t.Errorf("%s/%s: %s", it.Spec.Bench, it.Spec.Policy, it.Error)
-			}
-		}
-		t.Fatalf("cross-policy forked sweep failed %d/%d items", res.Failed, res.Jobs)
-	}
-	if res.ForkGroups != 1 {
-		t.Errorf("ForkGroups = %d, want 1 (one bench, one prefix class)", res.ForkGroups)
-	}
-	if want := int64(warm * (len(sw.Policies) - 1)); res.ReusedCycles != want {
-		t.Errorf("ReusedCycles = %d, want %d", res.ReusedCycles, want)
-	}
-	for _, it := range res.Items {
-		if it.Cached != "forked" {
-			t.Errorf("%s not forked (cached=%q)", it.Spec.Policy, it.Cached)
-		}
-		if it.Result == nil {
-			t.Fatalf("%s has no result", it.Spec.Policy)
-		}
-		// The functional self-check is the oracle that the restored
-		// engine still computes the right answer.
-		if !it.Result.Checked {
-			t.Errorf("%s skipped the functional self-check", it.Spec.Policy)
-		}
-		if it.Result.ReusedCycles != warm {
-			t.Errorf("%s ReusedCycles = %d, want %d", it.Spec.Policy, it.Result.ReusedCycles, warm)
-		}
 	}
 }

@@ -74,7 +74,7 @@ type Engine struct {
 type job struct {
 	spec JobSpec
 	hash string
-	// ctx carries the first submitter's values (trace ID, carcass pool)
+	// ctx carries the first submitter's values (its trace ID)
 	// but not its cancellation: cancel ends it once every waiter's
 	// context has ended (see watch).
 	ctx       context.Context
@@ -414,7 +414,7 @@ func (e *Engine) runJob(j *job) (*Outcome, int, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, attempt, fmt.Errorf("simjob: job canceled: %w", err)
 		}
-		out, err := e.safeExecute(ctx, j.spec, 0)
+		out, err := e.safeExecute(ctx, j.spec)
 		if err == nil {
 			return out, attempt, nil
 		}
@@ -429,12 +429,9 @@ func (e *Engine) runJob(j *job) (*Outcome, int, error) {
 }
 
 // safeExecute is the guard every simulation the engine starts runs
-// under — pool jobs, forked sweep points and their warm-ups alike: the
-// Options.Timeout bound, and panic isolation converting a panic into
-// an error so one bad job cannot kill the pool. until > 0 pauses the
-// run at that cycle and returns the checkpointed outcome (a fork
-// warm-up); otherwise the job body runs to completion.
-func (e *Engine) safeExecute(ctx context.Context, spec JobSpec, until int64) (out *Outcome, err error) {
+// under: the Options.Timeout bound, and panic isolation converting a
+// panic into an error so one bad job cannot kill the pool.
+func (e *Engine) safeExecute(ctx context.Context, spec JobSpec) (out *Outcome, err error) {
 	if e.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
@@ -445,9 +442,6 @@ func (e *Engine) safeExecute(ctx context.Context, spec JobSpec, until int64) (ou
 			out, err = nil, fmt.Errorf("simjob: job panicked: %v", r)
 		}
 	}()
-	if until > 0 {
-		return executeUntil(ctx, spec, nil, until)
-	}
 	return e.execute(ctx, spec)
 }
 

@@ -15,8 +15,8 @@ import (
 
 // carcassPool is an engine's store of retired device carcasses, and
 // the only way a device gets recycled: every device the engine builds
-// — worker jobs, cold sweep points, forked warm-ups and resumes — takes a
-// matching carcass from the pool, and every device it retires goes
+// — worker jobs, sweep points and resumes alike — takes a matching
+// carcass from the pool, and every device it retires goes
 // back. A carcass matches a build on exact config.GPU equality
 // (gpu.Salvage.Fits, NewSalvaged's own test). The pool holds at most
 // max carcasses (the engine's worker count), hands out the most

@@ -43,12 +43,11 @@ type JobResult struct {
 	// is a job error, not a result).
 	Checked bool `json:"checked"`
 
-	// ReusedCycles is the simulated-cycle count this result inherited
-	// from a shared warm-up snapshot instead of simulating itself. Only
-	// a forked sweep's fork step sets it; cold runs and exact
-	// same-spec resumes leave it zero, keeping their canonical
-	// encodings identical. A nonzero value marks the timing numbers as
-	// warm-up approximations — forked results are never cached.
+	// ReusedCycles is always 0, so it is omitted from the JSON.
+	//
+	// Deprecated: warm-up forking was removed (its baseline prefix
+	// moved the paper's figures); the field stays so the result shape
+	// does not change for callers that still read it.
 	ReusedCycles int64 `json:"reusedCycles,omitempty"`
 
 	// WallNanos is the host wall-clock time of the simulation. It is

@@ -27,8 +27,7 @@ import (
 // snapshot instead of starting cold: the benchmark's Init is skipped
 // (the snapshot carries memory) and the run continues from the
 // checkpoint cycle. Resuming the same spec is bit-identical to a cold
-// run; restoring across window configurations (forked sweeps) is
-// accepted when the snapshot's operand windows are empty.
+// run.
 //
 // When a DrainController travels in ctx (WithDrain) and drains
 // mid-run, Execute snapshots the paused device and returns an Outcome
@@ -48,7 +47,7 @@ func Execute(ctx context.Context, spec JobSpec) (*Outcome, error) {
 // JobSpec field: it must not change the spec's content hash or the
 // simulation result — only observe it.
 func ExecuteTraced(ctx context.Context, spec JobSpec, tr *trace.CycleTracer) (*Outcome, error) {
-	return executeUntil(ctx, spec, tr, 0)
+	return ExecuteUntil(ctx, spec, tr, 0)
 }
 
 // ExecuteUntil is ExecuteTraced with a pause point: the simulation
@@ -57,10 +56,6 @@ func ExecuteTraced(ctx context.Context, spec JobSpec, tr *trace.CycleTracer) (*O
 // checkpoint, exactly as a drain would. cmd/bowsim -checkpoint-at and
 // cmd/bowtrace -until are built on it.
 func ExecuteUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, until int64) (*Outcome, error) {
-	return executeUntil(ctx, spec, tr, until)
-}
-
-func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, until int64) (*Outcome, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
 		return nil, err
@@ -119,11 +114,7 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 
 	var resumedFrom int64
 	if resuming {
-		restore := d.RestoreBytes
-		if spec.checkpointVerified {
-			restore = d.RestorePreverified
-		}
-		h, err := restore(spec.FromCheckpoint)
+		h, err := d.RestoreBytes(spec.FromCheckpoint)
 		if err != nil {
 			return nil, fmt.Errorf("%s: restore checkpoint: %w", b.Name, err)
 		}
@@ -186,7 +177,7 @@ func executeUntil(ctx context.Context, spec JobSpec, tr *trace.CycleTracer, unti
 }
 
 // spanLogKey carries the engine's span log into the execution path so
-// executeUntil can record fine-grained stages (StagePrep) without the
+// ExecuteUntil can record fine-grained stages (StagePrep) without the
 // engine inspecting the job body.
 type spanLogKey struct{}
 

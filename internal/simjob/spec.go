@@ -124,19 +124,12 @@ type JobSpec struct {
 
 	// FromCheckpoint, when non-empty, is a snapshot stream
 	// (internal/snap) the simulation resumes from instead of starting at
-	// cycle 0 — the vehicle for job migration off a draining worker and
-	// for forked sweeps. It is transport state, not part of the design
+	// cycle 0 — the vehicle for job migration off a draining worker. It
+	// is transport state, not part of the design
 	// point: Hash excludes it, because resuming the same spec from a
 	// mid-run checkpoint is bit-identical to the cold run (the
 	// differential suite pins this), so both deserve the same cache key.
 	FromCheckpoint []byte `json:"fromCheckpoint,omitempty"`
-
-	// checkpointVerified marks FromCheckpoint as already content-hash
-	// verified, so the restore may skip re-hashing it. In-process only
-	// (never serialized): the fork planner sets it when fanning one
-	// freshly encoded warm-up snapshot out to a whole class. Checkpoints
-	// that crossed a disk or the network always re-verify.
-	checkpointVerified bool
 }
 
 // Normalize canonicalizes and validates the spec: policy aliases are

@@ -1,11 +1,18 @@
 package simjob
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"bow/internal/workloads"
 )
+
+// DefaultWarmupCycles was the warm-up length of a forked sweep.
+//
+// Deprecated: warm-up forking was removed; the constant stays for
+// callers that still read it.
+const DefaultWarmupCycles = 256
 
 // MaxSweepJobs bounds one sweep's server-side expansion — a guardrail
 // against accidental (or adversarial) combinatorial blow-ups through
@@ -24,20 +31,20 @@ type SweepSpec struct {
 	Schedulers []string `json:"schedulers,omitempty"`
 	MaxCycles  int64    `json:"maxCycles,omitempty"`
 
-	// ForkPrefix turns on warm-up prefix forking: points sharing a
-	// sweep class (bench, SMs, scheduler, maxCycles) simulate their
-	// warm-up once under the baseline policy, snapshot it, and each
-	// fork from the snapshot instead of re-simulating the prefix.
-	// Forked timing numbers are warm-up approximations, marked by
-	// JobResult.ReusedCycles and excluded from the result cache.
+	// ForkPrefix is accepted and ignored: every point runs cold as its
+	// own engine job.
+	//
+	// Deprecated: warm-up forking was removed (a baseline warm-up
+	// prefix made forked points approximations that reordered the
+	// paper's Fig 10); the field stays so existing /sweep clients still
+	// decode under DisallowUnknownFields.
 	ForkPrefix bool `json:"forkPrefix,omitempty"`
-	// WarmupCycles is the shared prefix length to simulate before
-	// forking (0 = DefaultWarmupCycles). Groups whose kernel completes
-	// within the warm-up fall back to cold runs.
+	// WarmupCycles is accepted and ignored, like ForkPrefix.
+	//
+	// Deprecated: kept for wire compatibility, like ForkPrefix.
 	WarmupCycles int64 `json:"warmupCycles,omitempty"`
 
-	// Batch is accepted and ignored: every point that is not forked
-	// runs as its own engine job.
+	// Batch is accepted and ignored, like ForkPrefix.
 	//
 	// Deprecated: lockstep batching was removed (it never beat plain
 	// runs); the field stays so existing /sweep clients still decode
@@ -144,18 +151,47 @@ type SweepResult struct {
 	Failed int         `json:"failed"`
 	Items  []SweepItem `json:"items"`
 
-	// ForkGroups counts the prefix classes that actually forked, and
-	// ReusedCycles the net simulated cycles saved by forking: for a
-	// class of N points with a W-cycle warm-up, the prefix runs once
-	// instead of N times, saving W*(N-1). Zero on plain sweeps.
+	// ForkGroups and ReusedCycles are always 0, so they are omitted
+	// from the JSON.
+	//
+	// Deprecated: warm-up forking was removed; the fields stay for
+	// callers that still read them.
 	ForkGroups   int   `json:"forkGroups,omitempty"`
 	ReusedCycles int64 `json:"reusedCycles,omitempty"`
 
-	// BatchOccupancy is always 0, so it is omitted from the JSON.
+	// BatchOccupancy is always 0, like ForkGroups.
 	//
 	// Deprecated: lockstep batching was removed; the field stays for
 	// callers that still read it.
 	BatchOccupancy float64 `json:"batchOccupancy,omitempty"`
+}
+
+// RunSweep runs every unique point of the sweep once and collects the
+// results in expansion order. A point the result cache holds is served
+// from it; every other point is one engine job, with single-flight,
+// peer fill, retries, the carcass pool and spans, so each item is
+// exactly the per-job result. Individual point failures are reported
+// inline; only expansion errors fail the sweep as a whole.
+func (e *Engine) RunSweep(ctx context.Context, sw SweepSpec) (*SweepResult, error) {
+	points, index, err := sw.ExpandHashed()
+	if err != nil {
+		return nil, err
+	}
+	tickets := make([]*Ticket, len(points))
+	for u, pt := range points {
+		if out, ok := e.lookup(ctx, pt.Hash, false); ok {
+			tickets[u] = resolved(out, nil)
+		} else {
+			tickets[u] = e.enqueue(ctx, pt.Spec, pt.Hash, false)
+		}
+	}
+	return GatherSweep(points, index, func(u int) (JobResult, string, error) {
+		out, err := tickets[u].WaitContext(ctx)
+		if err != nil {
+			return JobResult{}, "", err
+		}
+		return out.Summary, out.Cached, nil
+	}, nil), nil
 }
 
 // GatherSweep runs point for every unique point of a sweep

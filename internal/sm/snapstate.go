@@ -30,9 +30,9 @@ import (
 // StateHash fingerprints the kernel for snapshot compatibility checks:
 // program geometry, launch parameters, and every instruction excluding
 // its BOW-WR writeback hint and derived caches (hazard masks, labels).
-// Hint-agnosticism is deliberate — it lets a forked sweep restore a
-// baseline warm-up into a bow-wr run of the same kernel, where only the
-// compiler annotation differs.
+// Hint-agnosticism is deliberate — it lets a baseline snapshot restore
+// into a bow-wr run of the same kernel, where only the compiler
+// annotation differs.
 func (k *Kernel) StateHash() string {
 	h := sha256.New()
 	var b [8]byte

@@ -65,9 +65,8 @@ type Header struct {
 	// snapshot only restores onto an identically configured device.
 	ConfigHash string
 	// KernelHash fingerprints the program and launch geometry,
-	// excluding BOW-WR writeback hints. Hint-agnosticism is what lets a
-	// forked sweep restore a baseline warm-up into bow-wt/bow-wr
-	// configurations of the same kernel.
+	// excluding BOW-WR writeback hints, so a baseline snapshot of a
+	// kernel also restores into its bow-wt/bow-wr configurations.
 	KernelHash string
 	// SpecJSON is the normalized simjob.JobSpec JSON of the run that
 	// produced the snapshot (empty for direct gpu-layer snapshots). It
@@ -597,9 +596,9 @@ func Decode(r io.Reader) (Header, *Decoder, error) {
 
 // DecodeBytes is Decode over an in-memory stream, without copying the
 // payload: the returned Decoder aliases all, so the caller must not
-// mutate the blob until the restore is finished. This is the hot path
-// for checkpoint resumption — forked sweeps and job migration decode
-// the same few-hundred-KB blob once per sweep point.
+// mutate the blob until the restore is finished. Every checkpoint
+// resume and job migration decodes through it, and it always checks
+// the content hash before parsing the header.
 func DecodeBytes(all []byte) (Header, *Decoder, error) {
 	if len(all) > maxSnapshotBytes {
 		return Header{}, nil, fmt.Errorf("snap: snapshot exceeds %d byte limit", maxSnapshotBytes)
@@ -612,28 +611,6 @@ func DecodeBytes(all []byte) (Header, *Decoder, error) {
 	if !bytes.Equal(sum, want[:]) {
 		return Header{}, nil, fmt.Errorf("snap: content hash mismatch (corrupt or truncated snapshot)")
 	}
-	return decodeBody(body)
-}
-
-// DecodeBytesPreverified is DecodeBytes minus the content-hash check,
-// for a blob whose hash an earlier Decode/DecodeBytes (or the Encode
-// that produced it) already established — a forked sweep restores the
-// same in-memory warm-up snapshot into every point of its class, and
-// re-hashing hundreds of KB per point is pure tax. Framing errors are
-// still hard errors; only untampered-bytes trust is assumed.
-func DecodeBytesPreverified(all []byte) (Header, *Decoder, error) {
-	if len(all) > maxSnapshotBytes {
-		return Header{}, nil, fmt.Errorf("snap: snapshot exceeds %d byte limit", maxSnapshotBytes)
-	}
-	if len(all) < sha256.Size {
-		return Header{}, nil, fmt.Errorf("snap: truncated snapshot (%d bytes)", len(all))
-	}
-	return decodeBody(all[:len(all)-sha256.Size])
-}
-
-// decodeBody parses header and payload framing from a hash-stripped
-// snapshot body, aliasing the payload.
-func decodeBody(body []byte) (Header, *Decoder, error) {
 	br := bytes.NewReader(body)
 	hr := &headerReader{r: br, limit: len(body)}
 	h := hr.header()
