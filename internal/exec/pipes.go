@@ -16,15 +16,6 @@ type PipeConfig struct {
 	NumCtrl    int // branch/control unit slots per cycle
 }
 
-// DefaultPipeConfig matches the Pascal SM: 4 warp-wide ALU and FPU
-// pipes, one SFU quad, one LSU port, and a dedicated branch unit.
-func DefaultPipeConfig() PipeConfig {
-	return PipeConfig{
-		ALULatency: 4, FPULatency: 4, SFULatency: 16,
-		NumALU: 4, NumFPU: 4, NumSFU: 1, NumLSU: 1, NumCtrl: 4,
-	}
-}
-
 // Pipes tracks per-cycle issue slots of the functional units. Latency is
 // applied by the SM's event queue; Pipes only answers "can another warp
 // instruction of this class start this cycle?".

@@ -85,6 +85,8 @@ func (d *Device) SaveState(enc *snap.Encoder) {
 	d.l2.SaveState(enc)
 	for i, s := range d.sms {
 		enc.Section(secSMBase + uint32(i))
+		// The histogram is serialized; the open occupancy runs are not.
+		s.FlushOccupancy()
 		s.SaveState(enc)
 	}
 }

@@ -38,34 +38,46 @@ type Scheduler struct {
 	rrNext int
 	// out is the ranking buffer Order returns, reused across cycles;
 	// callers consume it before the next Order call.
-	out []int //bow:snapskip -- scratch ranking buffer, rebuilt on demand by the next Order call
-	// outFor is the greedy warp the cached GTO ranking in out encodes
-	// (-1 = no valid cache). The ranking is a pure function of the
-	// greedy warp, so it is rebuilt only when greedy changes.
-	outFor int //bow:derived -- cache key for out; LoadState and Reset invalidate it
+	out []int //bow:snapskip -- scratch ranking buffer, rebuilt by every Order call
 }
 
 // New creates a scheduler owning the given warp IDs (ordered oldest
 // first).
 func New(kind Kind, warps []int) *Scheduler {
-	return &Scheduler{kind: kind, warps: append([]int(nil), warps...), greedy: -1, outFor: -1}
+	return &Scheduler{kind: kind, warps: append([]int(nil), warps...), greedy: -1}
 }
 
-// Reset clears the greedy/rotation state (and the cached ranking) so
-// the scheduler starts the next kernel exactly as a New one would. The
-// ranking buffer is kept — it is scratch the next Order call rebuilds.
+// Reset clears the greedy/rotation state so the scheduler starts the
+// next kernel exactly as a New one would. The ranking buffer is kept —
+// it is scratch the next Order call rebuilds.
 func (s *Scheduler) Reset() {
 	s.greedy = -1
 	s.rrNext = 0
-	s.outFor = -1
 }
+
+// Greedy returns the warp GTO sticks with, or -1 when it has none
+// (always -1 under LRR).
+func (s *Scheduler) Greedy() int { return s.greedy }
+
+// DropGreedy forgets the greedy warp, as Order does when that warp
+// cannot issue. An SM that ranks its warps without calling Order calls
+// it in the same circumstance.
+func (s *Scheduler) DropGreedy() { s.greedy = -1 }
+
+// RotationStart returns the warp the next ranking's rotation starts
+// with: after the greedy warp (if any), Order ranks the warp list
+// rotated to begin there. GTO never moves the cursor, so under GTO it
+// is the oldest warp and the rotation is plain age order.
+func (s *Scheduler) RotationStart() int { return s.warps[s.rrNext] }
 
 // Order returns the warp IDs in the priority order they should be
 // considered for issue this cycle. ready reports per warp whether it can
 // issue at all (the scheduler uses it to advance its greedy/rotation
 // state but still returns the full ranking; the issue stage re-checks
 // readiness per instruction). The returned slice is owned by the
-// scheduler and overwritten by the next Order call.
+// scheduler and overwritten by the next Order call. The SM's reference
+// issue scan is its one caller; the fast scan ranks over slot masks
+// with Greedy, DropGreedy and RotationStart instead.
 func (s *Scheduler) Order(ready func(warp int) bool) []int {
 	switch s.kind {
 	case GTO:
@@ -82,21 +94,13 @@ func (s *Scheduler) orderGTO(ready func(int) bool) []int {
 		s.greedy = -1
 		return s.warps
 	}
-	if s.outFor == s.greedy {
-		return s.out
-	}
-	if s.out == nil {
-		s.out = make([]int, 0, len(s.warps))
-	}
-	out := s.out[:0]
-	out = append(out, s.greedy)
+	out := append(s.out[:0], s.greedy)
 	for _, w := range s.warps {
 		if w != s.greedy {
 			out = append(out, w)
 		}
 	}
 	s.out = out
-	s.outFor = s.greedy
 	return out
 }
 

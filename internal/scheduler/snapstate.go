@@ -7,8 +7,8 @@ import (
 )
 
 // SaveState serializes the scheduler's decision state: the GTO greedy
-// warp and the LRR rotation cursor. The ranking buffer (out/outFor) is
-// a pure cache of greedy and is rebuilt on demand after a restore.
+// warp and the LRR rotation cursor. The ranking buffer is scratch that
+// every Order call rebuilds.
 func (s *Scheduler) SaveState(enc *snap.Encoder) {
 	enc.U8(uint8(s.kind))
 	enc.Int(len(s.warps))
@@ -31,5 +31,4 @@ func (s *Scheduler) LoadState(dec *snap.Decoder) {
 	}
 	s.greedy = dec.Int()
 	s.rrNext = dec.Int()
-	s.outFor = -1 // invalidate the cached ranking
 }

@@ -407,6 +407,7 @@ func (s *SM) writeback(f *inflight, result *coreValue, mask uint32) {
 		exec.Merge(result, &f.oldDst, mask)
 		eng := s.engines[w.slot]
 		buffered := eng.Writeback(d, result, in.WBHint, f.seq)
+		s.noteOccupancy(w)
 		if s.Tracer != nil && buffered {
 			s.Tracer.Emit(s.cycle, s.id, w.slot, trace.EvBOCWrite, int32(eng.Occupancy()))
 		}

@@ -57,7 +57,8 @@ type delivery struct {
 }
 
 // pushDelivery buffers an arrived register value, copying *val into
-// the ring slot.
+// the ring slot. The first buffered delivery puts the collector on its
+// SM's port worklist; it stays there until the ring is empty again.
 func (f *inflight) pushDelivery(slots uint8, val *core.Value) {
 	if int(f.delivLen) == len(f.deliv) {
 		panic("sm: delivery ring overflow")
@@ -65,6 +66,18 @@ func (f *inflight) pushDelivery(slots uint8, val *core.Value) {
 	d := &f.deliv[(f.delivHead+f.delivLen)%uint8(len(f.deliv))]
 	d.slots, d.val = slots, *val
 	f.delivLen++
+	if f.delivLen == 1 {
+		f.warp.sm.portPush(f)
+	}
+}
+
+// portPush puts a collector with a port step due on the worklist the
+// fast loop's collector stage walks. The reference loop walks every
+// collector instead and keeps no list.
+func (s *SM) portPush(f *inflight) {
+	if !s.ref {
+		s.portq = append(s.portq, f)
+	}
 }
 
 // consumeDelivery moves one buffered RF delivery into the operand slots
@@ -141,6 +154,7 @@ func (f *inflight) DeliverRead(reg uint8, val *core.Value) {
 		w.fillWaiters = kept
 	}
 	s.engines[w.slot].FillFromRF(reg, val, f.seq)
+	s.noteOccupancy(w)
 }
 
 // allocInflight returns a reset record from the SM's free list,

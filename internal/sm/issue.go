@@ -1,8 +1,11 @@
 package sm
 
 import (
+	"math/bits"
+
 	"bow/internal/exec"
 	"bow/internal/isa"
+	"bow/internal/scheduler"
 	"bow/internal/trace"
 )
 
@@ -34,14 +37,30 @@ func (s *SM) refreshIssue(w *warpCtx) {
 		len(w.collectors) < collectorsPerWarp && w.peekTop() != nil {
 		st = issueCandidate
 	}
-	s.issueState[w.slot] = st
+	s.setIssue(w.slot, st)
 }
 
 // unblockIssue lifts a blocked verdict after the scoreboard released
 // one of the warp's hazards.
 func (s *SM) unblockIssue(slot int) {
 	if s.issueState[slot] == issueBlocked {
-		s.issueState[slot] = issueCandidate
+		s.setIssue(slot, issueCandidate)
+	}
+}
+
+// setIssue is the one writer of a slot's issue state: the byte, and
+// its bit in the candidate and blocked masks that index the bytes by
+// slot for the scan.
+func (s *SM) setIssue(slot int, st uint8) {
+	s.issueState[slot] = st
+	bit := uint64(1) << uint(slot)
+	s.candMask &^= bit
+	s.blockMask &^= bit
+	switch st {
+	case issueCandidate:
+		s.candMask |= bit
+	case issueBlocked:
+		s.blockMask |= bit
 	}
 }
 
@@ -66,50 +85,93 @@ func (s *SM) canIssueWarp(w *warpCtx) bool {
 const collectorsPerWarp = 2
 
 // issue runs every warp scheduler for one cycle over the cached issue
-// states: ineligible slots are skipped, blocked ones count a scoreboard
-// stall without touching the warp, and only candidates fetch their
-// top instruction. Bit-identical to issueRef, which the loop
-// differential suites hold it to.
+// states, visiting the slots in the order scheduler.Order ranks them:
+// the greedy warp first, then the rotation from RotationStart (age
+// order under GTO). The slot masks stand in for the ranking — a
+// scheduler with no eligible slot is skipped outright, blocked slots
+// are counted by popcount without being visited, and only candidates
+// fetch their top instruction. Bit-identical to issueRef, which the
+// loop differential suites hold it to.
 //
 //bow:hotpath
 func (s *SM) issue() {
-	code := s.kernel.Program.Code
-	for _, sched := range s.scheds {
+	for i, sched := range s.scheds {
+		// Order drops a greedy warp that cannot issue before ranking.
+		if g := sched.Greedy(); g >= 0 &&
+			(s.issueState[g] == issueIneligible || s.busyCollectors >= s.gcfg.NumOCUs) {
+			sched.DropGreedy()
+		}
+		part := s.partMask[i]
+		if (s.candMask|s.blockMask)&part == 0 {
+			continue
+		}
 		issued := 0
-		for _, wid := range sched.Order(s.canIssue) {
-			if issued >= s.gcfg.IssuePerSched {
-				break
-			}
-			st := s.issueState[wid]
-			if st == issueIneligible || s.busyCollectors >= s.gcfg.NumOCUs {
-				continue
-			}
-			if st == issueBlocked {
-				s.st.ScoreboardStalls++
-				continue
-			}
-			w := s.warps[wid]
-			t := w.top()
-			if t.pc >= len(code) {
-				// Fell off the end: treat as exit.
-				w.exitLanes(t.mask)
-				if w.top() == nil {
-					s.warpExited(w)
-				}
-				s.refreshIssue(w)
-				continue
-			}
-			in := &code[t.pc]
-			if !s.sb.CanIssue(wid, in) {
-				s.issueState[wid] = issueBlocked
-				s.st.ScoreboardStalls++
-				continue
-			}
-			s.issueInstruction(w, t, in)
-			sched.Issued(wid)
+		if g := sched.Greedy(); g >= 0 {
+			bit := uint64(1) << uint(g)
+			issued = s.issueSlots(sched, bit, issued)
+			part &^= bit
+		}
+		below := uint64(1)<<uint(sched.RotationStart()) - 1
+		issued = s.issueSlots(sched, part&^below, issued)
+		s.issueSlots(sched, part&below, issued)
+	}
+}
+
+// issueSlots visits the slots of mask in ascending order for one
+// scheduler that has already issued issued instructions this cycle,
+// and returns the new count. The scan stops at the issue width or once
+// the collector pool is full. Until then every blocked slot counts one
+// scoreboard stall, and the blocked slots before each candidate are
+// counted with one popcount. State is read live from the masks after
+// each candidate, because a candidate's pc-past-end exit can change
+// other slots (a barrier release, a retired CTA).
+//
+//bow:hotpath
+func (s *SM) issueSlots(sched *scheduler.Scheduler, mask uint64, issued int) int {
+	for issued < s.gcfg.IssuePerSched && s.busyCollectors < s.gcfg.NumOCUs {
+		cand := s.candMask & mask
+		if cand == 0 {
+			s.st.ScoreboardStalls += int64(bits.OnesCount64(s.blockMask & mask))
+			break
+		}
+		wid := bits.TrailingZeros64(cand)
+		before := uint64(1)<<uint(wid) - 1
+		s.st.ScoreboardStalls += int64(bits.OnesCount64(s.blockMask & mask & before))
+		mask &^= before | 1<<uint(wid)
+		if s.tryIssue(sched, wid) {
 			issued++
 		}
 	}
+	return issued
+}
+
+// tryIssue tries to issue the top instruction of candidate slot wid
+// and reports whether it did. A warp past the end of its program
+// exits instead; a scoreboard refusal records the blocked verdict.
+//
+//bow:hotpath
+func (s *SM) tryIssue(sched *scheduler.Scheduler, wid int) bool {
+	code := s.kernel.Program.Code
+	w := s.warps[wid]
+	t := w.top()
+	if t.pc >= len(code) {
+		// Fell off the end: treat as exit.
+		w.exitLanes(t.mask)
+		if w.top() == nil {
+			s.warpExited(w)
+		}
+		s.refreshIssue(w)
+		return false
+	}
+	in := &code[t.pc]
+	if !s.sb.CanIssue(wid, in) {
+		s.setIssue(wid, issueBlocked)
+		s.st.ScoreboardStalls++
+		return false
+	}
+	s.issueInstruction(w, t, in)
+	sched.Issued(wid)
+	return true
 }
 
 // issueInstruction moves one instruction into the operand-collection
@@ -156,6 +218,7 @@ func (s *SM) issueInstruction(w *warpCtx, t *simtEntry, in *isa.Instruction) {
 	plan := &s.plan
 	eng.Advance(in, plan)
 	f.seq = plan.Seq
+	s.noteOccupancy(w)
 
 	if tr := s.Tracer; tr != nil {
 		tr.Emit(s.cycle, s.id, w.slot, trace.EvWarpIssue, int32(in.PC))
@@ -224,6 +287,11 @@ func (s *SM) issueInstruction(w *warpCtx, t *simtEntry, in *isa.Instruction) {
 	}
 
 	w.collectors = append(w.collectors, f)
+	if f.collected() {
+		// Every operand was forwarded: no delivery will put the
+		// collector on the port worklist, so issue does.
+		s.portPush(f)
+	}
 	s.busyCollectors++
 	s.st.Issued++
 	s.refreshIssue(w)

@@ -21,8 +21,11 @@ import (
 // frame left. A blocked verdict must be sound: the scoreboard still
 // refuses the warp's top instruction. (A candidate may turn out to be
 // hazard-blocked — the verdict is recorded lazily, when the scan asks.)
-// An invalidation site that goes missing leaves a stale byte behind,
-// and this test names the slot and cycle where it first shows.
+// The slot masks must equal the bytes they index, and the collector-
+// port worklist must hold exactly the collectors with a port step due.
+// An invalidation site that goes missing leaves a stale byte, bit or
+// list entry behind, and this test names the slot and cycle where it
+// first shows.
 func TestIssueStateInvariant(t *testing.T) {
 	benches := append(workloads.All(), workloads.Extra()...)
 	if testing.Short() {
@@ -130,11 +133,21 @@ func runIssueStateInvariant(t *testing.T, a *policy.Arch, bcfg core.Config, b *w
 
 // checkIssueStates compares every slot's cached byte with the warp's
 // state, evaluated without side effects (peekTop, not top, so the
-// check cannot reshape the SIMT stack it inspects).
+// check cannot reshape the SIMT stack it inspects), each mask bit with
+// its byte, and the port worklist with the collectors.
 func checkIssueStates(s *SM) error {
 	code := s.kernel.Program.Code
+	if err := checkPortWorklist(s); err != nil {
+		return err
+	}
 	for _, w := range s.warps {
 		got := s.issueState[w.slot]
+		bit := uint64(1) << uint(w.slot)
+		if (s.candMask&bit != 0) != (got == issueCandidate) ||
+			(s.blockMask&bit != 0) != (got == issueBlocked) {
+			return fmt.Errorf("slot %d cached %d, but its mask bits are candidate %v blocked %v",
+				w.slot, got, s.candMask&bit != 0, s.blockMask&bit != 0)
+		}
 		top := w.peekTop()
 		eligible := w.ctaID >= 0 && !w.done && !w.stalled &&
 			len(w.collectors) < collectorsPerWarp && top != nil
@@ -172,4 +185,32 @@ func annotateFor(prog *asm.Program, a *policy.Arch, bcfg core.Config) error {
 		err = fmt.Errorf("unknown compiler pass %q", a.Pass)
 	}
 	return err
+}
+
+// checkPortWorklist holds portq to its definition: each entry once, and
+// exactly the collectors with a buffered delivery or with every operand
+// in hand but not yet ready.
+func checkPortWorklist(s *SM) error {
+	listed := map[*inflight]bool{}
+	for _, f := range s.portq {
+		if listed[f] {
+			return fmt.Errorf("port worklist holds a collector of slot %d twice", f.warp.slot)
+		}
+		listed[f] = true
+	}
+	for _, w := range s.warps {
+		for _, f := range w.collectors {
+			due := f.delivLen > 0 || (!f.ready && f.collected())
+			if due != listed[f] {
+				return fmt.Errorf("slot %d collector (pc %d, deliveries %d, ready %v, collected %v): "+
+					"port step due %v, listed %v",
+					w.slot, f.in.PC, f.delivLen, f.ready, f.collected(), due, listed[f])
+			}
+			delete(listed, f)
+		}
+	}
+	if len(listed) > 0 {
+		return fmt.Errorf("port worklist holds %d records that are no collectors", len(listed))
+	}
+	return nil
 }

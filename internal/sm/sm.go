@@ -97,6 +97,22 @@ type SM struct {
 	// reads (issueIneligible, issueCandidate, issueBlocked; issue.go).
 	issueState []uint8 //bow:derived -- cache over restored warp state; LoadState recomputes it, and a dropped blocked verdict only costs one scoreboard query
 
+	// candMask and blockMask index issueState by slot: bit w is set
+	// when slot w is a candidate (blocked). setIssue writes the byte
+	// and both masks together; the issue scan reads only the masks
+	// until it reaches a candidate.
+	candMask  uint64 //bow:derived -- index over issueState; LoadState recomputes it with the bytes
+	blockMask uint64 //bow:derived -- index over issueState; LoadState recomputes it with the bytes
+	// partMask[i] holds the slots scheduler i owns.
+	partMask []uint64 //bow:snapskip -- scheduler partition, fixed at construction
+
+	// portq is the collector-port worklist: every collector with a
+	// port step due — a buffered delivery, or all operands forwarded at
+	// issue and not yet ready. pushDelivery and issueInstruction add to
+	// it; the collector stage walks only it and drops a collector once
+	// its delivery ring is empty.
+	portq []*inflight //bow:derived -- LoadState rebuilds it from the restored collectors
+
 	// plan is the window engine's operand plan for the instruction
 	// being issued, reused across issues.
 	plan core.Plan //bow:snapskip -- per-issue scratch; dead between issues, so there is nothing to save or reset
@@ -162,11 +178,10 @@ type SM struct {
 	// cycles so the tracer can emit per-cycle conflict deltas.
 	lastBankConflicts int64 //bow:derived -- tracer delta baseline; LoadState reseeds it from the restored RF counter
 
-	// canIssue is the eligibility predicate handed to the warp
-	// schedulers (GTO's greedy-warp test), built once at construction
-	// so the issue stage does not allocate a capturing closure per
-	// scheduler per cycle. The fast loop's reads issueState; the
-	// reference loop's evaluates canIssueWarp from scratch.
+	// canIssue is the eligibility predicate the reference issue scan
+	// hands to scheduler.Order (GTO's greedy-warp test), built once at
+	// construction so issueRef does not allocate a capturing closure
+	// per scheduler per cycle. The fast loop ranks without it.
 	canIssue func(wid int) bool //bow:snapskip -- closure wiring, built once at construction
 }
 
@@ -179,6 +194,9 @@ func New(id int, gcfg config.GPU, bcfg core.Config, kernel *Kernel,
 	}
 	if kernel.Reconv == nil {
 		return nil, fmt.Errorf("sm: kernel not Prepared")
+	}
+	if gcfg.MaxWarpsPerSM > 64 {
+		return nil, fmt.Errorf("sm: %d warp slots exceed the 64 the issue masks index", gcfg.MaxWarpsPerSM)
 	}
 	rf, err := regfile.New(regfile.Config{
 		NumBanks:      gcfg.NumRFBanks,
@@ -221,6 +239,7 @@ func New(id int, gcfg config.GPU, bcfg core.Config, kernel *Kernel,
 		warps:         make([]*warpCtx, gcfg.MaxWarpsPerSM),
 		engines:       make([]*core.Engine, gcfg.MaxWarpsPerSM),
 		issueState:    make([]uint8, gcfg.MaxWarpsPerSM),
+		portq:         make([]*inflight, 0, gcfg.MaxWarpsPerSM*collectorsPerWarp),
 		ctas:          make(map[int]*ctaWork),
 		freeWarpSlots: gcfg.MaxWarpsPerSM,
 		freeTBSlots:   gcfg.MaxTBsPerSM,
@@ -234,10 +253,6 @@ func New(id int, gcfg config.GPU, bcfg core.Config, kernel *Kernel,
 	if s.ref {
 		s.refEvents = make(map[int64][]*event)
 		s.canIssue = func(wid int) bool { return s.canIssueWarp(s.warps[wid]) }
-	} else {
-		s.canIssue = func(wid int) bool {
-			return s.issueState[wid] != issueIneligible && s.busyCollectors < s.gcfg.NumOCUs
-		}
 	}
 	s.st.OccupancyBOC = stats.NewHistogram()
 	s.st.OccupancyOCU = stats.NewHistogram()
@@ -260,10 +275,13 @@ func New(id int, gcfg config.GPU, bcfg core.Config, kernel *Kernel,
 	}
 	for sc := 0; sc < gcfg.NumSched; sc++ {
 		ids := make([]int, 0, gcfg.MaxWarpsPerSM/gcfg.NumSched)
+		var part uint64
 		for w := sc; w < gcfg.MaxWarpsPerSM; w += gcfg.NumSched {
 			ids = append(ids, w)
+			part |= 1 << uint(w)
 		}
 		s.scheds = append(s.scheds, scheduler.New(skind, ids))
+		s.partMask = append(s.partMask, part)
 	}
 	return s, nil
 }
@@ -336,6 +354,7 @@ func (s *SM) Reset(bcfg core.Config, kernel *Kernel, global *mem.Memory) error {
 		w.ctaID = -1
 		w.warpInCTA = 0
 		w.activeIdx = -1
+		w.occVal, w.occSince = 0, 0
 		w.done, w.stalled, w.atBarrier = false, false, false
 		w.issued = 0
 		w.preds = [isa.NumPredRegs]uint32{}
@@ -365,6 +384,9 @@ func (s *SM) Reset(bcfg core.Config, kernel *Kernel, global *mem.Memory) error {
 	}
 	s.active = s.active[:0]
 	clear(s.issueState) // every slot is free again: ineligible
+	s.candMask, s.blockMask = 0, 0
+	clear(s.portq)
+	s.portq = s.portq[:0]
 	s.readyHead, s.readyTail = nil, nil
 	clear(s.ctas)
 	s.cycle = 0
@@ -461,16 +483,25 @@ func (s *SM) Cycle() {
 
 	// 3. Collectors consume one delivered operand each (single-ported
 	// OCU/BOC); an instruction whose last operand lands becomes ready
-	// and enters the dispatch-ordered list. Only active warps can hold
-	// collectors, so idle slots cost nothing.
-	for _, w := range s.active {
-		for _, f := range w.collectors {
-			f.consumeDelivery()
-			if !f.ready && f.collected() {
-				s.markReady(w, f)
-			}
+	// and enters the dispatch-ordered list. Only collectors on the port
+	// worklist have a step due, so the walk skips the rest; walk order
+	// is immaterial (readyInsert orders by (issueCycle, slot, seq), and
+	// the scoreboard and issue-state updates are per warp). A collector
+	// stays listed while deliveries remain buffered.
+	q := s.portq
+	n := 0
+	for _, f := range q {
+		f.consumeDelivery()
+		if !f.ready && f.collected() {
+			s.markReady(f.warp, f)
+		}
+		if f.delivLen > 0 {
+			q[n] = f
+			n++
 		}
 	}
+	clear(q[n:])
+	s.portq = q[:n]
 
 	// 4. Dispatch ready instructions to functional units.
 	s.dispatch()
@@ -478,12 +509,10 @@ func (s *SM) Cycle() {
 	// 5. Issue new instructions.
 	s.issue()
 
-	// 6. Occupancy sampling (Fig. 9): one sample per active warp-cycle.
-	if s.bcfg.Policy.Bypassing() {
-		for _, w := range s.active {
-			s.st.OccupancyBOC.Observe(s.engines[w.slot].Occupancy())
-		}
-	}
+	// 6. Occupancy (Fig. 9) is sampled run-length: a warp's occupancy
+	// moves only inside Advance, Writeback and FillFromRF, whose
+	// callers close the open run (noteOccupancy), as do warp exit
+	// (activeRemove) and every read of the histogram (FlushOccupancy).
 }
 
 // cycleRefTail is steps 3-6 of the reference loop: full warp scans and
@@ -519,8 +548,12 @@ func (s *SM) markReady(w *warpCtx, f *inflight) {
 	s.readyInsert(f)
 }
 
-// Stats returns the accumulated run statistics.
-func (s *SM) Stats() *RunStats { return &s.st }
+// Stats returns the accumulated run statistics, with every open
+// occupancy run flushed up to the current cycle boundary.
+func (s *SM) Stats() *RunStats {
+	s.FlushOccupancy()
+	return &s.st
+}
 
 // RegFileStats exposes the register file counters.
 func (s *SM) RegFileStats() regfile.Stats { return s.rf.Stats() }

@@ -195,7 +195,10 @@ func TestSpecialValues(t *testing.T) {
 func TestInflightDeliveries(t *testing.T) {
 	in := &isa.Instruction{Op: isa.OpAdd, HasDst: true, Dst: 3, PredReg: isa.PredTrue,
 		Srcs: [3]isa.Operand{isa.Reg(1), isa.Reg(1), isa.Reg(2)}, NSrc: 3}
-	f := &inflight{in: in, outstanding: 2}
+	// A delivery puts the collector on its SM's port worklist, so the
+	// record needs a warp.
+	s := testSM(t, tinyKernel, 1, 32, nil, core.Config{Policy: core.PolicyBaseline})
+	f := &inflight{in: in, warp: s.warps[0], outstanding: 2}
 
 	var v1 coreValue
 	v1[0] = 11
@@ -203,6 +206,9 @@ func TestInflightDeliveries(t *testing.T) {
 	var v2 coreValue
 	v2[0] = 22
 	f.pushDelivery(f.slotMask(2), &v2)
+	if len(s.portq) != 1 || s.portq[0] != f {
+		t.Fatalf("port worklist after two deliveries = %v, want just the collector once", s.portq)
+	}
 
 	if f.collected() {
 		t.Fatal("collected before consuming deliveries")

@@ -20,12 +20,15 @@ import (
 // read sinks — is flattened through a dense in-flight ID table built by
 // a deterministic walk: collectors in warp-slot order first, then
 // event-only records (dispatched instructions awaiting completion) in
-// wheel-firing order. Free lists, scratch buffers, and caches (wheel
-// free list, freeInflights, segScratch, the scheduler ranking cache)
-// are derived state: they are rebuilt empty on restore, which is
-// architecturally indistinguishable from the recycled-but-stale records
-// a cold run carries, because every consumer overwrites a record before
-// reading it.
+// wheel-firing order. Free lists and scratch buffers (wheel free list,
+// freeInflights, segScratch, the scheduler ranking buffer) are derived
+// state: they are rebuilt empty on restore, which is architecturally
+// indistinguishable from the recycled-but-stale records a cold run
+// carries, because every consumer overwrites a record before reading
+// it. Indexes over restored state (the active list, issue states and
+// masks, the port worklist, the open occupancy runs) are rebuilt from
+// it at the end of LoadState. The snapshot's caller flushes the
+// occupancy runs into the histogram first (FlushOccupancy).
 
 // StateHash fingerprints the kernel for snapshot compatibility checks:
 // program geometry, launch parameters, and every instruction excluding
@@ -548,15 +551,6 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 			w.fillWaiters = append(w.fillWaiters, fillWaiter{reg: reg, f: f})
 		}
 	}
-	// Rebuild the active list in slot order. Order is immaterial to the
-	// simulation (see activeAdd) but slot order keeps restored state
-	// canonical: a second snapshot of the restored SM is byte-identical.
-	for _, w := range s.warps {
-		if w.ctaID >= 0 && !w.done {
-			s.activeAdd(w)
-		}
-	}
-
 	s.ctas = make(map[int]*ctaWork)
 	cn := dec.Count(8 + 4 + 8 + 8 + 4) // ctaID, warp count, arrived, liveWarp, shared words
 	if dec.Err() != nil {
@@ -684,13 +678,30 @@ func (s *SM) LoadState(dec *snap.Decoder) {
 		return
 	}
 
-	// Derived state. Issue states restart without blocked verdicts: a
-	// blocked slot restores as a candidate whose first scan re-asks the
-	// scoreboard and gets the same answer.
+	// Derived state. The active list is rebuilt in slot order. Order is
+	// immaterial to the simulation (see activeAdd) but slot order keeps
+	// restored state canonical: a second snapshot of the restored SM is
+	// byte-identical. It is rebuilt after the engines are loaded, so
+	// activeAdd opens each warp's occupancy run at the restored
+	// occupancy; the snapshot's histogram was flushed up to this cycle.
+	// Issue states restart without blocked verdicts: a blocked slot
+	// restores as a candidate whose first scan re-asks the scoreboard
+	// and gets the same answer. The port worklist holds every collector
+	// with a buffered delivery or, all operands forwarded, not yet ready.
 	s.busyCollectors = 0
+	clear(s.portq)
+	s.portq = s.portq[:0]
 	for _, w := range s.warps {
+		if w.ctaID >= 0 && !w.done {
+			s.activeAdd(w)
+		}
 		s.busyCollectors += len(w.collectors)
 		s.refreshIssue(w)
+		for _, f := range w.collectors {
+			if f.delivLen > 0 || (!f.ready && f.collected()) {
+				s.portPush(f)
+			}
+		}
 	}
 	// The tracer's conflict-delta baseline: in a traced cold run this
 	// tracks the RF conflict counter exactly (it re-syncs every cycle the

@@ -51,6 +51,7 @@ func (r *snapRig) save(t *testing.T) []byte {
 	enc := snap.NewEncoder()
 	r.m.SaveState(enc)
 	r.l2.SaveState(enc)
+	r.s.FlushOccupancy()
 	r.s.SaveState(enc)
 	b, err := enc.Bytes()
 	if err != nil {

@@ -63,6 +63,12 @@ type warpCtx struct {
 	// (-1 when not resident or already done).
 	activeIdx int //bow:derived -- position in the derived active list; LoadState rebuilds both together
 
+	// occVal and occSince are the warp's open Fig. 9 run: the window
+	// has held occVal live entries at the end of every cycle from
+	// occSince on, and the run is not yet in RunStats.OccupancyBOC.
+	occVal   int   //bow:derived -- open occupancy run; LoadState reseeds it from the restored engine
+	occSince int64 //bow:derived -- start of the open occupancy run; LoadState reseeds it at the restore cycle
+
 	issued int64 // dynamic instructions issued (sequence numbering)
 }
 
@@ -100,21 +106,27 @@ func (s *SM) initWarp(w *warpCtx, ctaID, warpInCTA int) {
 }
 
 // activeAdd registers w on the SM's active-warp list (resident, not
-// done). List order is immaterial: every per-warp action in the cycle
-// loop touches disjoint state.
+// done) and opens its occupancy run; the first sample is the next
+// cycle's. List order is immaterial: every per-warp action in the
+// cycle loop touches disjoint state.
 func (s *SM) activeAdd(w *warpCtx) {
 	if w.activeIdx >= 0 {
 		return
 	}
 	w.activeIdx = len(s.active)
 	s.active = append(s.active, w)
+	w.occVal, w.occSince = s.engines[w.slot].Occupancy(), s.cycle+1
 }
 
-// activeRemove drops w from the active list (swap-remove).
+// activeRemove drops w from the active list (swap-remove), closing its
+// occupancy run: a warp that leaves during cycle c is not sampled at c.
 func (s *SM) activeRemove(w *warpCtx) {
 	i := w.activeIdx
 	if i < 0 {
 		return
+	}
+	if s.occRuns() {
+		s.addRun(w.occVal, s.cycle-w.occSince)
 	}
 	last := len(s.active) - 1
 	s.active[i] = s.active[last]
@@ -122,6 +134,53 @@ func (s *SM) activeRemove(w *warpCtx) {
 	s.active[last] = nil
 	s.active = s.active[:last]
 	w.activeIdx = -1
+}
+
+// occRuns reports whether the SM keeps Fig. 9 occupancy runs: the fast
+// loop under a policy with a window. The reference loop samples every
+// active warp each cycle instead, and must not count twice.
+func (s *SM) occRuns() bool { return !s.ref && s.bcfg.Policy.Bypassing() }
+
+// addRun records a closed run of n cycles at occupancy v.
+func (s *SM) addRun(v int, n int64) {
+	if n > 0 {
+		s.st.OccupancyBOC.Add(v, n)
+	}
+}
+
+// noteOccupancy follows an engine call that can move w's occupancy
+// (Advance, Writeback, FillFromRF — carfc's last-use frees and ltrf's
+// interval drains happen inside them). A move during cycle c closes
+// the open run at c-1 and opens one at c, whose sample would see the
+// new value. Only the fast loop under a windowed policy records runs,
+// and only for active warps.
+//
+//bow:hotpath
+func (s *SM) noteOccupancy(w *warpCtx) {
+	v := s.engines[w.slot].Occupancy()
+	if v == w.occVal {
+		return
+	}
+	if s.occRuns() && w.activeIdx >= 0 {
+		s.addRun(w.occVal, s.cycle-w.occSince)
+	}
+	w.occVal, w.occSince = v, s.cycle
+}
+
+// FlushOccupancy closes every open occupancy run at the current cycle
+// boundary, so RunStats.OccupancyBOC holds exactly one sample per
+// active warp-cycle so far, as the reference loop's per-cycle sampling
+// does. Stats calls it; a snapshot's caller must call it before
+// SaveState, which serializes the histogram but not the open runs.
+func (s *SM) FlushOccupancy() {
+	if !s.occRuns() {
+		return
+	}
+	next := s.cycle + 1
+	for _, w := range s.active {
+		s.addRun(w.occVal, next-w.occSince)
+		w.occSince = next
+	}
 }
 
 // top returns the active SIMT frame after popping exhausted frames

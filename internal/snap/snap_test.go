@@ -24,7 +24,6 @@ func TestRoundTrip(t *testing.T) {
 	enc.I64(-42)
 	enc.Int(-7)
 	enc.I32(-1)
-	enc.Bytes32([]byte("hello"))
 	enc.String("world")
 	enc.U32s([]uint32{1, 2, 3})
 	enc.Words([]uint32{9, 8})
@@ -81,9 +80,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if v := dec.I32(); v != -1 {
 		t.Fatalf("I32 = %d", v)
-	}
-	if v := dec.Bytes32(); string(v) != "hello" {
-		t.Fatalf("Bytes32 = %q", v)
 	}
 	if v := dec.String(); v != "world" {
 		t.Fatalf("String = %q", v)
