@@ -21,6 +21,14 @@ import (
 // must start from empty memory instead — the snapshot carries it).
 func snapDevice(t *testing.T, bench string, bcfg core.Config, prime bool) *gpu.Device {
 	t.Helper()
+	g := config.SimDefault()
+	g.NumSMs = 2
+	return snapDeviceOn(t, g, bench, bcfg, prime)
+}
+
+// snapDeviceOn is snapDevice on the chip configuration g.
+func snapDeviceOn(t *testing.T, g config.GPU, bench string, bcfg core.Config, prime bool) *gpu.Device {
+	t.Helper()
 	pk, err := artifact.BuildKernel(artifact.KeyForConfig(bench, bcfg, false))
 	if err != nil {
 		t.Fatal(err)
@@ -31,8 +39,6 @@ func snapDevice(t *testing.T, bench string, bcfg core.Config, prime bool) *gpu.D
 			t.Fatal(err)
 		}
 	}
-	g := config.SimDefault()
-	g.NumSMs = 2
 	d, err := gpu.New(g, bcfg, pk.NewSMKernel(), m)
 	if err != nil {
 		t.Fatal(err)
