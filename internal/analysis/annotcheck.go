@@ -48,7 +48,7 @@ var knownDirectives = map[string]bool{
 func runAnnotCheck(pass *Pass) {
 	structs, claimedMarkers := collectStateStructs(pass)
 	idx := indexFuncs(pass)
-	saved := closureMentions(pass, idx, idx.rootsByName(isSaveRoot))
+	saved := closureMentions(pass, idx, idx.rootsByName(isSaveRoot), walkSave)
 
 	// Marker hygiene and staleness on the collected structs.
 	for _, ss := range structs {

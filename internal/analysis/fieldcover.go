@@ -33,7 +33,9 @@ import (
 //
 // Mention-based (closureMentions, used by statecover): a field counts
 // as covered when any identifier inside the closure's function bodies
-// resolves to that field object. This deliberately avoids classifying
+// resolves to that field object. A State method roots both the save
+// and the load closure; only its branches guarded on Loading() belong
+// to one direction. This deliberately avoids classifying
 // the mention (read vs write vs pass-by-pointer), because
 // serialization flows through helpers (`enc.U32s(f.vals)`,
 // `dec.WordsInto(f.oldDst[:])`) where the interesting access is not an
@@ -333,15 +335,96 @@ func receiverTypeName(pass *Pass, fd *ast.FuncDecl) *types.TypeName {
 	return nil
 }
 
+// walkDir is a direction of the snapshot walk: the save closure or the
+// load closure.
+type walkDir uint8
+
+const (
+	walkSave walkDir = 1 << iota
+	walkLoad
+	walkBoth = walkSave | walkLoad
+)
+
+// branchDirs reports which walk directions run an if statement's body
+// and its else branch. A State method walks both directions, and
+// guards its one-sided parts on its argument's Loading method:
+// `if st.Loading()` (alone or as a conjunct) runs its body only on
+// load, `if !st.Loading()` only on save, and the else branch of a bare
+// guard runs only in the other direction.
+func branchDirs(cond ast.Expr) (body, els walkDir) {
+	switch loadingGuard(cond) {
+	case walkLoad:
+		return walkLoad, walkSave
+	case walkSave:
+		return walkSave, walkLoad
+	}
+	if x, ok := ast.Unparen(cond).(*ast.BinaryExpr); ok && x.Op == token.LAND {
+		l, _ := branchDirs(x.X)
+		r, _ := branchDirs(x.Y)
+		return l & r, walkBoth
+	}
+	return walkBoth, walkBoth
+}
+
+// loadingGuard classifies a bare `x.Loading()` (walkLoad) or
+// `!x.Loading()` (walkSave) condition; anything else is walkBoth.
+func loadingGuard(cond ast.Expr) walkDir {
+	cond = ast.Unparen(cond)
+	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		if loadingGuard(u.X) == walkLoad {
+			return walkSave
+		}
+		return walkBoth
+	}
+	if c, ok := cond.(*ast.CallExpr); ok && len(c.Args) == 0 {
+		if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Loading" {
+			return walkLoad
+		}
+	}
+	return walkBoth
+}
+
 // closureMentions walks the given root functions and, transitively,
 // every same-package function they call, collecting the set of struct
-// fields mentioned anywhere inside. Calls that leave the package
-// (`sc.SaveState(enc)` on another package's type) end the walk there —
-// the callee covers its own fields in its own package's pass.
-func closureMentions(pass *Pass, idx *funcIndex, roots []*ast.FuncDecl) map[*types.Var]bool {
+// fields mentioned anywhere inside that runs in direction dir: a
+// branch guarded for the other direction (see branchDirs) is skipped.
+// Calls that leave the package (`sc.State(st)` on another package's
+// type) end the walk there — the callee covers its own fields in its
+// own package's pass.
+func closureMentions(pass *Pass, idx *funcIndex, roots []*ast.FuncDecl, dir walkDir) map[*types.Var]bool {
 	mentions := map[*types.Var]bool{}
 	seen := map[*ast.FuncDecl]bool{}
 	queue := append([]*ast.FuncDecl(nil), roots...)
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			// Selector fields (s.cycle), composite-literal keys
+			// (RunStats{Cycles: c}), and embedded promotions all
+			// resolve through Uses to the field object.
+			if v, ok := pass.TypesInfo.Uses[x].(*types.Var); ok && v.IsField() {
+				mentions[v] = true
+			}
+		case *ast.CallExpr:
+			if fn := calleeFunc(pass.TypesInfo, x); fn != nil {
+				if callee := idx.byObj[fn]; callee != nil && !seen[callee] {
+					queue = append(queue, callee)
+				}
+			}
+		case *ast.IfStmt:
+			body, els := branchDirs(x.Cond)
+			for _, part := range []struct {
+				n   ast.Node
+				run walkDir
+			}{{x.Init, walkBoth}, {x.Cond, walkBoth}, {x.Body, body}, {x.Else, els}} {
+				if part.n != nil && part.run&dir != 0 {
+					ast.Inspect(part.n, visit)
+				}
+			}
+			return false
+		}
+		return true
+	}
 	for len(queue) > 0 {
 		fd := queue[0]
 		queue = queue[1:]
@@ -349,24 +432,7 @@ func closureMentions(pass *Pass, idx *funcIndex, roots []*ast.FuncDecl) map[*typ
 			continue
 		}
 		seen[fd] = true
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				// Selector fields (s.cycle), composite-literal keys
-				// (RunStats{Cycles: c}), and embedded promotions all
-				// resolve through Uses to the field object.
-				if v, ok := pass.TypesInfo.Uses[x].(*types.Var); ok && v.IsField() {
-					mentions[v] = true
-				}
-			case *ast.CallExpr:
-				if fn := calleeFunc(pass.TypesInfo, x); fn != nil {
-					if callee := idx.byObj[fn]; callee != nil && !seen[callee] {
-						queue = append(queue, callee)
-					}
-				}
-			}
-			return true
-		})
+		ast.Inspect(fd.Body, visit)
 	}
 	return mentions
 }
@@ -446,17 +512,19 @@ func closureWrites(pass *Pass, idx *funcIndex, roots []*ast.FuncDecl) map[*types
 // --- closure root predicates ---------------------------------------
 
 // isSaveRoot matches the entry points of a package's serialization
-// path: SaveState (component convention), Snapshot (gpu.Device), and
-// Encode (internal/snap's header writer).
+// path: State (the component convention: one walk that both saves and
+// loads, so it roots both closures), SaveState (a component whose save
+// half stays split), Snapshot (gpu.Device), and Encode (internal/snap's
+// header writer).
 func isSaveRoot(name string) bool {
-	return name == "SaveState" || name == "Snapshot" || name == "Encode"
+	return name == "State" || name == "SaveState" || name == "Snapshot" || name == "Encode"
 }
 
 // isLoadRoot matches the entry points of a package's restore path:
-// LoadState (component convention), Restore* (gpu.Device), and Decode*
-// (internal/snap).
+// State (see isSaveRoot), LoadState (a split load half), Restore*
+// (gpu.Device), and Decode* (internal/snap).
 func isLoadRoot(name string) bool {
-	return name == "LoadState" ||
+	return name == "State" || name == "LoadState" ||
 		strings.HasPrefix(name, "Restore") ||
 		strings.HasPrefix(name, "Decode")
 }

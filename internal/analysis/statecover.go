@@ -2,9 +2,12 @@ package analysis
 
 // StateCover proves the checkpoint contract at the source level: every
 // field of a //bow:state struct must flow through the package's
-// serialization path (the SaveState/Snapshot/Encode call closure) and
-// its restore path (LoadState/Restore/Decode), or carry an explicit
-// //bow:derived or //bow:snapskip marker saying why not. A new
+// serialization path (the State/SaveState/Snapshot/Encode call
+// closure) and its restore path (State/LoadState/Restore/Decode), or
+// carry an explicit //bow:derived or //bow:snapskip marker saying why
+// not. A State method walks both directions at once, so a field it
+// mentions is covered both ways, and its writer and reader cannot
+// disagree about order. A new
 // simulation-state field that would silently break checkpoint
 // determinism — the bug class that forced snap FormatVersion 2 when a
 // rival engine's interval counter went unserialized — becomes a lint
@@ -29,8 +32,8 @@ func runStateCover(pass *Pass) {
 		// (internal/exec's per-cycle Pipes): only resetcover applies.
 		return
 	}
-	saved := closureMentions(pass, idx, saveRoots)
-	loaded := closureMentions(pass, idx, loadRoots)
+	saved := closureMentions(pass, idx, saveRoots, walkSave)
+	loaded := closureMentions(pass, idx, loadRoots, walkLoad)
 	for _, ss := range structs {
 		for _, f := range ss.fields {
 			if f.obj == nil || f.marked("derived") || f.marked("snapskip") {
@@ -38,12 +41,12 @@ func runStateCover(pass *Pass) {
 			}
 			if !saved[f.obj] {
 				pass.Reportf(f.pos,
-					"sim-state field %s.%s is not written by the snapshot path (SaveState/Snapshot closure); "+
+					"sim-state field %s.%s is not written by the snapshot path (State/SaveState/Snapshot closure); "+
 						"serialize it or mark it //bow:derived / //bow:snapskip with a reason",
 					ss.name, f.name)
 			} else if !loaded[f.obj] {
 				pass.Reportf(f.pos,
-					"sim-state field %s.%s is not read by the restore path (LoadState/Restore closure); "+
+					"sim-state field %s.%s is not read by the restore path (State/LoadState/Restore closure); "+
 						"restore it or mark it //bow:derived / //bow:snapskip with a reason",
 					ss.name, f.name)
 			}

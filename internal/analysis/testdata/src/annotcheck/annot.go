@@ -38,6 +38,30 @@ func (m *machine) Reset() {
 	m.liar2 = 0 // Reset restores liar2: its marker lies
 }
 
+type state struct{ loading bool }
+
+func (s *state) I64(v *int64) {}
+
+func (s *state) Loading() bool { return s.loading }
+
+// walked rebuilds a derived field inside its State method's load-only
+// branch, which is not the snapshot path; one walked field lies.
+//
+//bow:state
+type walked struct {
+	cycle int64
+	okDer int64 //bow:derived -- rederived from cycle on load
+	lie   int64 //bow:derived -- claims rederivation // want "stale //bow:derived on walked.lie"
+}
+
+func (w *walked) State(st *state) {
+	st.I64(&w.cycle)
+	st.I64(&w.lie)
+	if st.Loading() {
+		w.okDer = w.cycle
+	}
+}
+
 //bow:staate -- typo // want "unknown //bow: directive"
 
 //bow:state

@@ -63,9 +63,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocsDrain covers the drain/flush recycling paths:
-// entries released by DrainToRF and Flush must return to the free list,
-// not leak and force fresh heap allocations.
+// TestSteadyStateAllocsDrain covers the flush recycling path: entries
+// released by Flush must return to the free list, not leak and force
+// fresh heap allocations.
 func TestSteadyStateAllocsDrain(t *testing.T) {
 	eng, err := NewEngine(Config{IW: 3, Policy: PolicyWriteBack},
 		func(uint8, *Value, WriteCause) {})
@@ -74,12 +74,10 @@ func TestSteadyStateAllocsDrain(t *testing.T) {
 	}
 	cycle := func() {
 		allocWorkload(eng)
-		eng.DrainToRF()
-		allocWorkload(eng)
 		eng.Flush()
 	}
 	cycle()
 	if got := testing.AllocsPerRun(50, cycle); got != 0 {
-		t.Errorf("drain/flush cycle: %.1f allocs, want 0", got)
+		t.Errorf("flush cycle: %.1f allocs, want 0", got)
 	}
 }

@@ -252,7 +252,7 @@ func (c Config) Normalize() (Config, error) {
 }
 
 // entry is one buffered register value inside the window. Live
-// entries are serialized field-by-field inside Engine.SaveState.
+// entries are serialized field-by-field inside Engine.State.
 //
 //bow:state
 type entry struct {
@@ -397,7 +397,7 @@ type Engine struct {
 	tr    traits      //bow:snapskip -- cfg.Policy's traits, bound with cfg
 	sink  RFWriteSink //bow:snapskip -- RF write wiring, rebound at construction
 	seq   int64
-	byReg [256]*entry //bow:derived -- index over live, rebuilt by LoadState via attach
+	byReg [256]*entry //bow:derived -- index over live, rebuilt on load via attach
 	live  []*entry    // live entries in insertion order
 	free  *entry      //bow:derived -- recycled-entry pool; dead by definition
 	stats Stats
@@ -881,20 +881,6 @@ func (e *Engine) Flush() {
 			e.stats.FlushDropped++
 		}
 		e.byReg[en.reg] = nil
-		e.release(en)
-	}
-	e.live = e.live[:0]
-}
-
-// DrainToRF force-writes every dirty, un-superseded value to the RF and
-// empties the window, in insertion order. Used when precise RF state is
-// required mid-kernel (not at exit).
-func (e *Engine) DrainToRF() {
-	for _, en := range e.live {
-		e.byReg[en.reg] = nil
-		if en.dirty && !en.cancelWB {
-			e.emitRF(en.reg, &en.val, CauseWindowEvict)
-		}
 		e.release(en)
 	}
 	e.live = e.live[:0]

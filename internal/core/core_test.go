@@ -317,27 +317,6 @@ func TestLookupEffectiveValue(t *testing.T) {
 	}
 }
 
-// TestDrainToRF writes every dirty value back.
-func TestDrainToRF(t *testing.T) {
-	writes := 0
-	eng, err := NewEngine(Config{IW: 3, Policy: PolicyWriteBack},
-		func(uint8, *Value, WriteCause) { writes++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &isa.Instruction{Op: isa.OpMov, HasDst: true, Dst: 5, PredReg: isa.PredTrue, NSrc: 0}
-	var plan Plan
-	eng.Advance(in, &plan)
-	eng.Writeback(5, &Value{}, isa.WBBoth, plan.Seq)
-	eng.DrainToRF()
-	if writes != 1 {
-		t.Errorf("drain writes = %d, want 1", writes)
-	}
-	if eng.Occupancy() != 0 {
-		t.Errorf("occupancy after drain = %d, want 0", eng.Occupancy())
-	}
-}
-
 // TestRivalEngineBehaviours pins the two engine behaviours only the
 // rival policies select: carfc frees an entry at a compiler-marked last
 // read (dropping its dead dirty value without an RF write), and ltrf

@@ -182,13 +182,22 @@ func TestOccupancyBounded(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		prog := genProgram(r, 30)
 		for _, capa := range []int{2, 4, 6} {
-			_, occ, err := ReplayOccupancy(toStream(prog), Config{IW: 3, Capacity: capa, Policy: PolicyWriteBack})
+			eng, err := NewEngine(Config{IW: 3, Capacity: capa, Policy: PolicyWriteBack}, func(uint8, *Value, WriteCause) {})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := range occ {
-				if k > capa {
-					t.Fatalf("trial %d: occupancy %d exceeds capacity %d", trial, k, capa)
+			var plan Plan
+			var zero Value
+			for _, in := range toStream(prog) {
+				eng.Advance(in, &plan)
+				for i := 0; i < plan.NNeedRF; i++ {
+					eng.FillFromRF(plan.NeedRF[i], &zero, plan.Seq)
+				}
+				if d, ok := in.DstReg(); ok {
+					eng.Writeback(d, &zero, in.WBHint, plan.Seq)
+				}
+				if occ := eng.Occupancy(); occ > capa {
+					t.Fatalf("trial %d: occupancy %d exceeds capacity %d", trial, occ, capa)
 				}
 			}
 		}

@@ -30,29 +30,3 @@ func Replay(stream []*isa.Instruction, cfg Config) (Stats, error) {
 	eng.Flush()
 	return eng.Stats(), nil
 }
-
-// ReplayOccupancy is Replay that additionally samples the window
-// occupancy (live BOC entries) after every instruction, returning the
-// histogram occupancy -> instruction count. This feeds the Fig. 9
-// reproduction.
-func ReplayOccupancy(stream []*isa.Instruction, cfg Config) (Stats, map[int]int64, error) {
-	eng, err := NewEngine(cfg, func(uint8, *Value, WriteCause) {})
-	if err != nil {
-		return Stats{}, nil, err
-	}
-	occ := make(map[int]int64)
-	var plan Plan
-	var zero Value
-	for _, in := range stream {
-		eng.Advance(in, &plan)
-		for i := 0; i < plan.NNeedRF; i++ {
-			eng.FillFromRF(plan.NeedRF[i], &zero, plan.Seq)
-		}
-		if d, ok := in.DstReg(); ok {
-			eng.Writeback(d, &zero, in.WBHint, plan.Seq)
-		}
-		occ[eng.Occupancy()]++
-	}
-	eng.Flush()
-	return eng.Stats(), occ, nil
-}

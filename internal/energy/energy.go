@@ -99,7 +99,3 @@ func Normalized(run, baseline Report) (rfFrac, overheadFrac float64, err error) 
 	return run.RFDynamicPJ / baseline.RFDynamicPJ,
 		run.OverheadPJ() / baseline.RFDynamicPJ, nil
 }
-
-// BOCStorageBytes returns the per-SM BOC storage of a configuration:
-// numBOCs collectors × entries × 128 B.
-func BOCStorageBytes(numBOCs, entries int) int { return numBOCs * entries * 128 }

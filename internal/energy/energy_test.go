@@ -55,13 +55,6 @@ func TestAccessEnergyRatio(t *testing.T) {
 	}
 }
 
-func TestBOCStorageBytes(t *testing.T) {
-	// 32 BOCs of 12 entries = 48 KB raw storage.
-	if got := BOCStorageBytes(32, 12); got != 48*1024 {
-		t.Errorf("storage = %d, want 48KB", got)
-	}
-}
-
 // TestCompressedAccounting: compressed accesses are a subset of the RF
 // accesses — they displace the full-width charge rather than adding to
 // it, and an all-compressed run costs exactly half an uncompressed one.

@@ -35,7 +35,7 @@ var ErrInterrupted = errors.New("gpu: run interrupted")
 //bow:state
 type Device struct {
 	cfg    config.GPU
-	bcfg   core.Config //bow:snapskip -- window config is deliberately outside ConfigHash; restore checks window state structurally (core.Engine.LoadState)
+	bcfg   core.Config //bow:snapskip -- window config is deliberately outside ConfigHash; restore checks window state structurally (core.Engine.State)
 	Global *mem.Memory
 	l2     *mem.Cache
 	sms    []*sm.SM

@@ -93,6 +93,6 @@ func FuzzRestore(f *testing.F) {
 // header and content hash around it.
 func payloadOf(d *Device) ([]byte, error) {
 	enc := snap.NewEncoder()
-	d.SaveState(enc)
+	d.State(snap.Save(enc))
 	return enc.Bytes()
 }

@@ -66,35 +66,43 @@ func (d *Device) SnapshotBytes(specJSON []byte) ([]byte, string, error) {
 		KernelHash: d.KernelHash(),
 		SpecJSON:   specJSON,
 	}
-	blob, sum, err := snap.EncodeBlob(h, d.SaveState)
+	blob, sum, err := snap.EncodeBlob(h, func(e *snap.Encoder) { d.State(snap.Save(e)) })
 	if err != nil {
 		return nil, "", fmt.Errorf("gpu: snapshot: %w", err)
 	}
 	return blob, sum, nil
 }
 
-// SaveState encodes the device state: the payload sections a snapshot
-// stream frames behind its header.
-func (d *Device) SaveState(enc *snap.Encoder) {
-	enc.Section(secDevice)
-	enc.Int(d.nextCTA)
-	enc.Int(len(d.sms))
-	enc.Section(secMemory)
-	d.Global.SaveState(enc)
-	enc.Section(secL2)
-	d.l2.SaveState(enc)
+// State walks the device state: the payload sections a snapshot
+// stream frames behind its header. A load needs a device built with
+// the same SM count.
+func (d *Device) State(st *snap.State) {
+	st.Section(secDevice)
+	nsms := len(d.sms)
+	st.Int(&d.nextCTA)
+	st.Int(&nsms)
+	if nsms != len(d.sms) {
+		st.Fail(fmt.Errorf("gpu: snapshot has %d SMs, device has %d", nsms, len(d.sms)))
+		return
+	}
+	st.Section(secMemory)
+	d.Global.State(st)
+	st.Section(secL2)
+	d.l2.State(st)
 	for i, s := range d.sms {
-		enc.Section(secSMBase + uint32(i))
-		// The histogram is serialized; the open occupancy runs are not.
-		s.FlushOccupancy()
-		s.SaveState(enc)
+		st.Section(secSMBase + uint32(i))
+		if !st.Loading() {
+			// The histogram is serialized; the open occupancy runs are not.
+			s.FlushOccupancy()
+		}
+		s.State(st)
 	}
 }
 
 // Restore loads a snapshot stream into a freshly constructed device.
 // The target must have been built with the same chip configuration and
 // kernel (enforced via the header hashes); the window configuration may
-// differ when the snapshot's windows are empty (core.Engine.LoadState
+// differ when the snapshot's windows are empty (core.Engine.State
 // enforces that). Returns the decoded header.
 func (d *Device) Restore(r io.Reader) (snap.Header, error) {
 	blob, err := io.ReadAll(r)
@@ -119,23 +127,7 @@ func (d *Device) RestoreBytes(blob []byte) (snap.Header, error) {
 	if got := d.KernelHash(); h.KernelHash != got {
 		return h, fmt.Errorf("gpu: snapshot kernel %.12s does not match device %.12s", h.KernelHash, got)
 	}
-	dec.Section(secDevice)
-	d.nextCTA = dec.Int()
-	nsms := dec.Int()
-	if err := dec.Err(); err != nil {
-		return h, err
-	}
-	if nsms != len(d.sms) {
-		return h, fmt.Errorf("gpu: snapshot has %d SMs, device has %d", nsms, len(d.sms))
-	}
 	d.cycles = h.Cycle
-	dec.Section(secMemory)
-	d.Global.LoadState(dec)
-	dec.Section(secL2)
-	d.l2.LoadState(dec)
-	for i, s := range d.sms {
-		dec.Section(secSMBase + uint32(i))
-		s.LoadState(dec)
-	}
+	d.State(snap.Load(dec))
 	return h, dec.Close()
 }

@@ -164,16 +164,11 @@ func (h *Hierarchy) StoreLatency(addr uint32) int {
 	return h.DRAMCycles
 }
 
-// Coalesce groups per-lane byte addresses into the distinct aligned
-// memory segments they touch (GPU coalescing). Lanes where active is
-// false are skipped. Returns the unique segment base addresses.
-func Coalesce(addrs []uint32, active uint32, segBytes int) []uint32 {
-	return CoalesceInto(nil, addrs, active, segBytes)
-}
-
-// CoalesceInto is Coalesce appending into dst (pass dst[:0] to reuse a
-// scratch buffer and avoid the per-warp allocation). Segments appear in
-// first-touch lane order. Dedup is a linear scan: a warp has at most
+// CoalesceInto groups per-lane byte addresses into the distinct aligned
+// memory segments they touch (GPU coalescing), appending the unique
+// segment base addresses to dst (pass dst[:0] to reuse a scratch buffer
+// and avoid the per-warp allocation). Lanes where active is false are
+// skipped. Segments appear in first-touch lane order. Dedup is a linear scan: a warp has at most
 // WarpSize lanes and typically touches a handful of segments, so this
 // beats a map at every realistic size.
 func CoalesceInto(dst []uint32, addrs []uint32, active uint32, segBytes int) []uint32 {

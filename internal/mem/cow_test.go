@@ -79,7 +79,7 @@ func TestForkAtomicAdd(t *testing.T) {
 	}
 }
 
-// TestMemoryStateRoundTrip checks SaveState/LoadState preserve
+// TestMemoryStateRoundTrip checks a State save and load preserve
 // contents, including the merged base+overlay view of an image's
 // copy-on-write child.
 func TestMemoryStateRoundTrip(t *testing.T) {
@@ -95,7 +95,7 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 	}
 
 	enc := snap.NewEncoder()
-	child.SaveState(enc)
+	child.State(snap.Save(enc))
 	payload, err := enc.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 
 	restored := NewMemory()
 	dec := snap.NewDecoder(payload)
-	restored.LoadState(dec)
+	restored.State(snap.Load(dec))
 	if err := dec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 	// Serialization is deterministic: a restored image re-serializes to
 	// the same bytes even though its page tiers differ.
 	enc2 := snap.NewEncoder()
-	restored.SaveState(enc2)
+	restored.State(snap.Save(enc2))
 	payload2, err := enc2.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		c.Access(i * 4)
 	}
 	enc := snap.NewEncoder()
-	c.SaveState(enc)
+	c.State(snap.Save(enc))
 	payload, err := enc.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := snap.NewDecoder(payload)
-	r.LoadState(dec)
+	r.State(snap.Load(dec))
 	if err := dec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestCacheStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec = snap.NewDecoder(payload)
-	wrong.LoadState(dec)
+	wrong.State(snap.Load(dec))
 	if dec.Err() == nil {
 		t.Fatal("geometry mismatch accepted")
 	}

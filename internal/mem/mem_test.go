@@ -150,21 +150,21 @@ func TestCoalesce(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint32(4 * i)
 	}
-	if segs := Coalesce(addrs, 0xFFFFFFFF, 128); len(segs) != 1 {
+	if segs := CoalesceInto(nil, addrs, 0xFFFFFFFF, 128); len(segs) != 1 {
 		t.Errorf("unit-stride coalesce = %d segments, want 1", len(segs))
 	}
 	// Stride 128 -> 32 transactions.
 	for i := range addrs {
 		addrs[i] = uint32(128 * i)
 	}
-	if segs := Coalesce(addrs, 0xFFFFFFFF, 128); len(segs) != 32 {
+	if segs := CoalesceInto(nil, addrs, 0xFFFFFFFF, 128); len(segs) != 32 {
 		t.Errorf("stride-128 coalesce = %d segments, want 32", len(segs))
 	}
 	// Inactive lanes skipped.
-	if segs := Coalesce(addrs, 0x1, 128); len(segs) != 1 {
+	if segs := CoalesceInto(nil, addrs, 0x1, 128); len(segs) != 1 {
 		t.Errorf("single-lane coalesce = %d segments, want 1", len(segs))
 	}
-	if segs := Coalesce(addrs, 0, 128); len(segs) != 0 {
+	if segs := CoalesceInto(nil, addrs, 0, 128); len(segs) != 0 {
 		t.Errorf("no active lanes -> %d segments", len(segs))
 	}
 }
@@ -199,7 +199,7 @@ func TestMemoryProperty(t *testing.T) {
 	}
 }
 
-// Property: Coalesce returns each segment exactly once and covers every
+// Property: CoalesceInto returns each segment exactly once and covers every
 // active lane.
 func TestCoalesceProperty(t *testing.T) {
 	f := func(raw []uint32, active uint32) bool {
@@ -209,7 +209,7 @@ func TestCoalesceProperty(t *testing.T) {
 				addrs[i] = raw[i] % (1 << 20)
 			}
 		}
-		segs := Coalesce(addrs, active, 128)
+		segs := CoalesceInto(nil, addrs, active, 128)
 		seen := map[uint32]bool{}
 		for _, s := range segs {
 			if s%128 != 0 || seen[s] {

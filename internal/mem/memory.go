@@ -36,9 +36,9 @@ const pageWords = 1024
 type Memory struct {
 	pages    map[uint32]*[pageWords]uint32
 	base     map[uint32]*[pageWords]uint32 // frozen, shared with an Image and its children; never written
-	last     *[pageWords]uint32            //bow:derived -- one-entry page cache; LoadState invalidates it
-	lastPage uint32                        //bow:derived -- cached page number (^0 when none); LoadState invalidates it
-	lastRO   bool                          //bow:derived -- cached page's tier flag; LoadState invalidates it
+	last     *[pageWords]uint32            //bow:derived -- one-entry page cache; a load invalidates it
+	lastPage uint32                        //bow:derived -- cached page number (^0 when none); a load invalidates it
+	lastRO   bool                          //bow:derived -- cached page's tier flag; a load invalidates it
 }
 
 // NewMemory creates an empty global memory.

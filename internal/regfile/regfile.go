@@ -49,15 +49,11 @@ func (c Config) SizeBytes() int {
 	return c.NumBanks * c.WarpRegsPerB * 128
 }
 
-// ReadCallback is invoked when a queued read completes. The pointed-to
-// value is owned by the register file and only valid for the duration
-// of the call — copy it out to retain it.
-type ReadCallback func(val *core.Value)
-
 // ReadSink receives completed reads without a per-request closure: the
 // SM's operand collectors implement it, so the hot simulation loop
-// allocates nothing per register read. The value pointer has the same
-// borrow semantics as ReadCallback's.
+// allocates nothing per register read. The pointed-to value is owned by
+// the register file and only valid for the duration of the call — copy
+// it out to retain it.
 type ReadSink interface {
 	DeliverRead(reg uint8, val *core.Value)
 }
@@ -70,8 +66,7 @@ type ReadSink interface {
 type readReq struct {
 	warp   int32
 	reg    uint8
-	queued int64        // cycle the request was enqueued (conflict accounting)
-	cb     ReadCallback //bow:snapskip -- closure reads are test-only plumbing; SaveState fails on them rather than drop a delivery
+	queued int64 // cycle the request was enqueued (conflict accounting)
 	sink   ReadSink
 }
 
@@ -112,7 +107,7 @@ func (r *readRing) push(req readReq) {
 //bow:hotpath
 func (r *readRing) pop() readReq {
 	req := r.buf[r.head]
-	r.buf[r.head] = readReq{} // drop cb/sink references
+	r.buf[r.head] = readReq{} // drop the sink reference
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return req
@@ -196,7 +191,7 @@ type File struct {
 	banks []bank
 	// nonempty is a bitmap of banks with pending requests, so Cycle
 	// visits only busy banks (ascending index, matching the full scan).
-	nonempty []uint64 //bow:derived -- busy-bank bitmap; LoadState rederives it from rebuilt queues via markBusy
+	nonempty []uint64 //bow:derived -- busy-bank bitmap; a load rederives it from the rebuilt queues via markBusy
 	cycle    int64
 	stats    Stats
 
@@ -210,7 +205,6 @@ type servedRead struct {
 	readyAt int64
 	reg     uint8
 	val     core.Value
-	cb      ReadCallback //bow:snapskip -- closure reads are test-only plumbing; SaveState fails on them rather than drop a delivery
 	sink    ReadSink
 }
 
@@ -246,7 +240,7 @@ func (r *servedRing) front() *servedRead { return &r.buf[r.head] }
 //bow:hotpath
 func (r *servedRing) drop() {
 	sl := &r.buf[r.head]
-	sl.cb, sl.sink = nil, nil // the value may go stale; pointers may not
+	sl.sink = nil // the value may go stale; pointers may not
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 }
@@ -273,7 +267,7 @@ func New(cfg Config) (*File, error) {
 // output: the engine's carcass pool recycles register files across
 // runs on the strength of that equivalence, and the gpu recycling
 // suite checks it end to end. Ring entries
-// are cleared (not just truncated) so stale ReadCallback/ReadSink
+// are cleared (not just truncated) so stale ReadSink
 // references from an aborted run cannot retain a dead simulation.
 func (f *File) Reset() {
 	for _, v := range f.vals {
@@ -317,19 +311,8 @@ func (f *File) Bank(warp int, reg uint8) int {
 //bow:hotpath
 func (f *File) markBusy(b int) { f.nonempty[b>>6] |= 1 << uint(b&63) }
 
-// EnqueueRead queues a read of (warp, reg). cb runs when the bank port
-// serves the request. Prefer EnqueueReadSink on hot paths: this variant
-// costs a closure per request.
-//
-//bow:hotpath
-func (f *File) EnqueueRead(warp int, reg uint8, cb ReadCallback) {
-	b := f.Bank(warp, reg)
-	f.banks[b].reads.push(readReq{warp: int32(warp), reg: reg, cb: cb, queued: f.cycle})
-	f.markBusy(b)
-}
-
-// EnqueueReadSink queues a read of (warp, reg) delivering to sink —
-// the allocation-free form of EnqueueRead.
+// EnqueueReadSink queues a read of (warp, reg); sink receives the value
+// when the bank port serves the request and the crossbar delivers it.
 //
 //bow:hotpath
 func (f *File) EnqueueReadSink(warp int, reg uint8, sink ReadSink) {
@@ -362,11 +345,9 @@ func (f *File) Pending() int {
 // deliver hands a completed read to its receiver.
 //
 //bow:hotpath
-func deliver(reg uint8, val *core.Value, cb ReadCallback, sink ReadSink) {
+func deliver(reg uint8, val *core.Value, sink ReadSink) {
 	if sink != nil {
 		sink.DeliverRead(reg, val)
-	} else if cb != nil {
-		cb(val)
 	}
 }
 
@@ -386,7 +367,7 @@ func (f *File) Cycle() {
 	// stays valid across the call.
 	for f.delay.n > 0 && f.delay.front().readyAt <= f.cycle {
 		sr := f.delay.front()
-		deliver(sr.reg, &sr.val, sr.cb, sr.sink)
+		deliver(sr.reg, &sr.val, sr.sink)
 		f.delay.drop()
 	}
 
@@ -435,14 +416,14 @@ func (f *File) cycleBank(b int) {
 		// enqueue writes to this same register mid-call only via queued
 		// bank requests, which cannot mutate storage until a later
 		// cycleBank — the pointed-to value is stable for the call.
-		deliver(req.reg, &f.vals[req.warp][req.reg], req.cb, req.sink)
+		deliver(req.reg, &f.vals[req.warp][req.reg], req.sink)
 		return
 	}
 	sl := f.delay.pushSlot()
 	sl.readyAt = f.cycle + int64(f.cfg.AccessLatency)
 	sl.reg = req.reg
 	sl.val = f.vals[req.warp][req.reg]
-	sl.cb, sl.sink = req.cb, req.sink
+	sl.sink = req.sink
 }
 
 // Peek returns the stored value without timing effects (functional/oracle

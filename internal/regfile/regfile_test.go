@@ -48,7 +48,7 @@ func TestReadWriteThroughPorts(t *testing.T) {
 	f.EnqueueWrite(0, 5, val(99))
 	var got core.Value
 	delivered := false
-	f.EnqueueRead(0, 5, func(v *core.Value) { got = *v; delivered = true })
+	f.EnqueueReadSink(0, 5, sinkFunc(func(_ uint8, v *core.Value) { got = *v; delivered = true }))
 
 	// Same bank: write has priority and is served first; the read is
 	// served the following cycle and sees the new value.
@@ -70,7 +70,7 @@ func TestAccessLatencyPipeline(t *testing.T) {
 	f := mkFile(t, 3)
 	f.Poke(0, 5, val(7))
 	delivered := int64(-1)
-	f.EnqueueRead(0, 5, func(*core.Value) { delivered = f.cycle })
+	f.EnqueueReadSink(0, 5, sinkFunc(func(uint8, *core.Value) { delivered = f.cycle }))
 	for i := 0; i < 10 && delivered < 0; i++ {
 		f.Cycle()
 	}
@@ -85,7 +85,7 @@ func TestOnePerBankPerCycle(t *testing.T) {
 	count := 0
 	// Three reads to the same bank (same warp, same reg).
 	for i := 0; i < 3; i++ {
-		f.EnqueueRead(0, 4, func(*core.Value) { count++ })
+		f.EnqueueReadSink(0, 4, sinkFunc(func(uint8, *core.Value) { count++ }))
 	}
 	f.Cycle()
 	if count != 1 {
@@ -106,7 +106,7 @@ func TestParallelBanks(t *testing.T) {
 	count := 0
 	// Four reads to four different banks: all served in one cycle.
 	for r := uint8(0); r < 4; r++ {
-		f.EnqueueRead(0, r, func(*core.Value) { count++ })
+		f.EnqueueReadSink(0, r, sinkFunc(func(uint8, *core.Value) { count++ }))
 	}
 	f.Cycle()
 	if count != 4 {

@@ -6,57 +6,45 @@ import (
 	"bow/internal/snap"
 )
 
-// SaveState serializes the hazard state of every warp. The pendingRead
-// table is sparse (at most a few outstanding reads per warp), so it is
-// written as (reg, count) pairs in ascending register order.
-func (s *Board) SaveState(enc *snap.Encoder) {
-	enc.U32(uint32(len(s.pendingWrite)))
-	for w := range s.pendingWrite {
-		for _, bits := range s.pendingWrite[w] {
-			enc.U64(bits)
-		}
-		enc.U8(s.pendingPred[w])
-		var n uint32
-		for _, c := range s.pendingRead[w] {
-			if c != 0 {
-				n++
-			}
-		}
-		enc.U32(n)
-		for r, c := range s.pendingRead[w] {
-			if c != 0 {
-				enc.U8(uint8(r))
-				enc.Int(c)
-			}
-		}
-	}
-}
-
-// LoadState restores hazard state written by SaveState into a board of
-// the same warp count.
-func (s *Board) LoadState(dec *snap.Decoder) {
-	n := dec.Count(1 + 4) // at least pendingPred and the pair count
-	if dec.Err() != nil {
-		return
-	}
+// State walks the hazard state of every warp into a board of the same
+// warp count. The pendingRead table is sparse (at most a few
+// outstanding reads per warp), so it is written as (reg, count) pairs
+// in ascending register order.
+func (s *Board) State(st *snap.State) {
+	n := len(s.pendingWrite)
+	st.Count(&n, 1+4) // at least pendingPred and the pair count
 	if n != len(s.pendingWrite) {
-		dec.Fail(fmt.Errorf("scoreboard: snapshot has %d warps, target has %d", n, len(s.pendingWrite)))
+		st.Fail(fmt.Errorf("scoreboard: snapshot has %d warps, target has %d", n, len(s.pendingWrite)))
 		return
 	}
-	for w := 0; w < n; w++ {
+	for w := range s.pendingWrite {
 		for i := range s.pendingWrite[w] {
-			s.pendingWrite[w][i] = dec.U64()
+			st.U64(&s.pendingWrite[w][i])
 		}
-		s.pendingPred[w] = dec.U8()
-		s.pendingRead[w] = [256]int{}
-		pairs := dec.Count(1 + 8) // reg, count
-		for p := 0; p < pairs; p++ {
-			r := dec.U8()
-			c := dec.Int()
-			if dec.Err() != nil {
-				return
+		st.U8(&s.pendingPred[w])
+		reads := &s.pendingRead[w]
+		if st.Loading() {
+			*reads = [256]int{}
+		}
+		pairs := 0
+		for _, c := range reads {
+			if c != 0 {
+				pairs++
 			}
-			s.pendingRead[w][r] = c
+		}
+		st.Count(&pairs, 1+8) // reg, count
+		// A save visits the non-zero registers; a load, whose table is
+		// clear, visits one pair per step. A count above 256 leaves
+		// bytes unread, which fails the section check.
+		for r := 0; r < len(reads) && pairs > 0; r++ {
+			reg, c := uint8(r), reads[r]
+			if c == 0 && !st.Loading() {
+				continue
+			}
+			st.U8(&reg)
+			st.Int(&c)
+			reads[reg] = c
+			pairs--
 		}
 	}
 }

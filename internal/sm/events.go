@@ -57,7 +57,7 @@ type event struct {
 //bow:state
 type eventList struct {
 	head *event
-	tail *event //bow:derived -- FIFO tail; LoadState re-pushes events in firing order, which rebuilds it
+	tail *event //bow:derived -- FIFO tail; a load re-schedules events in firing order, which rebuilds it
 }
 
 func (l *eventList) push(ev *event) {

@@ -44,7 +44,7 @@ type inflight struct {
 
 	// rnext/rprev link the SM's dispatch-ordered ready list.
 	rnext *inflight
-	rprev *inflight //bow:derived -- back link; LoadState rebuilds it from the serialized forward walk
+	rprev *inflight //bow:derived -- back link; a load rebuilds it from the serialized forward walk
 }
 
 // delivery is one register value awaiting the collector port, with the

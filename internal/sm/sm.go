@@ -95,14 +95,14 @@ type SM struct {
 
 	// issueState is the per-slot issue verdict the fast issue scan
 	// reads (issueIneligible, issueCandidate, issueBlocked; issue.go).
-	issueState []uint8 //bow:derived -- cache over restored warp state; LoadState recomputes it, and a dropped blocked verdict only costs one scoreboard query
+	issueState []uint8 //bow:derived -- cache over restored warp state; rederive recomputes it, and a dropped blocked verdict only costs one scoreboard query
 
 	// candMask and blockMask index issueState by slot: bit w is set
 	// when slot w is a candidate (blocked). setIssue writes the byte
 	// and both masks together; the issue scan reads only the masks
 	// until it reaches a candidate.
-	candMask  uint64 //bow:derived -- index over issueState; LoadState recomputes it with the bytes
-	blockMask uint64 //bow:derived -- index over issueState; LoadState recomputes it with the bytes
+	candMask  uint64 //bow:derived -- index over issueState; rederive recomputes it with the bytes
+	blockMask uint64 //bow:derived -- index over issueState; rederive recomputes it with the bytes
 	// partMask[i] holds the slots scheduler i owns.
 	partMask []uint64 //bow:snapskip -- scheduler partition, fixed at construction
 
@@ -111,7 +111,7 @@ type SM struct {
 	// issue and not yet ready. pushDelivery and issueInstruction add to
 	// it; the collector stage walks only it and drops a collector once
 	// its delivery ring is empty.
-	portq []*inflight //bow:derived -- LoadState rebuilds it from the restored collectors
+	portq []*inflight //bow:derived -- rederive rebuilds it from the restored collectors
 
 	// plan is the window engine's operand plan for the instruction
 	// being issued, reused across issues.
@@ -129,18 +129,18 @@ type SM struct {
 	// the seed's map calendar and scan-everything dispatch, kept
 	// in-tree as the oracle for the differential suite.
 	ref        bool               //bow:resetskip -- loop-flavor selector, fixed at construction; Reset recycles within one flavor
-	refEvents  map[int64][]*event //bow:snapskip -- reference-loop calendar; reference SMs refuse snapshots (SaveState fails)
+	refEvents  map[int64][]*event //bow:snapskip -- reference-loop calendar; reference SMs refuse snapshots (State fails)
 	refScratch []*inflight        //bow:snapskip -- reference dispatch scratch; reference SMs refuse snapshots
 
 	// active lists resident, not-yet-done warps so the cycle loop
 	// skips empty warp slots entirely.
-	active []*warpCtx //bow:derived -- rebuilt in slot order by LoadState from restored warp residency
+	active []*warpCtx //bow:derived -- rebuilt in slot order by rederive from restored warp residency
 
 	// readyHead/readyTail is the dispatch-ordered ready list: operand-
 	// complete instructions linked intrusively in (issueCycle, slot,
 	// seq) order, replacing the per-cycle scan + sort.
 	readyHead *inflight
-	readyTail *inflight //bow:derived -- tail of the ready list; LoadState rebuilds it from the serialized head-to-tail walk
+	readyTail *inflight //bow:derived -- tail of the ready list; a load rebuilds it from the serialized head-to-tail walk
 
 	// freeInflights recycles completed instruction records.
 	freeInflights []*inflight //bow:snapskip -- free pool; rebuilt empty on restore and deliberately kept warm across Reset
@@ -156,7 +156,7 @@ type SM struct {
 
 	// busyCollectors counts operand collectors in use across the SM; the
 	// pool (gcfg.NumOCUs) gates issue.
-	busyCollectors int //bow:derived -- recounted by LoadState from restored collector lists
+	busyCollectors int //bow:derived -- recounted by rederive from restored collector lists
 
 	// RegSnapshots, when enabled, captures each warp's effective
 	// register values at exit, keyed by (ctaID, warpInCTA).
@@ -176,7 +176,7 @@ type SM struct {
 
 	// lastBankConflicts remembers the RF conflict counter between
 	// cycles so the tracer can emit per-cycle conflict deltas.
-	lastBankConflicts int64 //bow:derived -- tracer delta baseline; LoadState reseeds it from the restored RF counter
+	lastBankConflicts int64 //bow:derived -- tracer delta baseline; rederive reseeds it from the restored RF counter
 
 	// canIssue is the eligibility predicate the reference issue scan
 	// hands to scheduler.Order (GTO's greedy-warp test), built once at

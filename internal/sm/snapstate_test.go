@@ -49,10 +49,11 @@ func newSnapRig(t *testing.T, src string, grid, block int, params []uint32, bcfg
 func (r *snapRig) save(t *testing.T) []byte {
 	t.Helper()
 	enc := snap.NewEncoder()
-	r.m.SaveState(enc)
-	r.l2.SaveState(enc)
+	st := snap.Save(enc)
+	r.m.State(st)
+	r.l2.State(st)
 	r.s.FlushOccupancy()
-	r.s.SaveState(enc)
+	r.s.State(st)
 	b, err := enc.Bytes()
 	if err != nil {
 		t.Fatalf("save: %v", err)
@@ -63,9 +64,10 @@ func (r *snapRig) save(t *testing.T) []byte {
 func (r *snapRig) load(t *testing.T, b []byte) {
 	t.Helper()
 	dec := snap.NewDecoder(b)
-	r.m.LoadState(dec)
-	r.l2.LoadState(dec)
-	r.s.LoadState(dec)
+	st := snap.Load(dec)
+	r.m.State(st)
+	r.l2.State(st)
+	r.s.State(st)
 	if err := dec.Close(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -282,7 +284,7 @@ func TestSMSnapshotRejectsReferenceLoop(t *testing.T) {
 	rig := newSnapRig(t, snapLoopKernel, 1, 32, []uint32{snapIn, snapOut}, core.Config{Policy: core.PolicyBaseline})
 	rig.s.ref = true
 	enc := snap.NewEncoder()
-	rig.s.SaveState(enc)
+	rig.s.State(snap.Save(enc))
 	if _, err := enc.Bytes(); err == nil {
 		t.Fatal("reference-loop SM serialized without error")
 	}
@@ -297,28 +299,28 @@ func TestSMLoadStateRejectsHugeCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		payload func(enc *snap.Encoder)
-		load    func(dec *snap.Decoder)
+		load    func(st *snap.State)
 	}{
 		{"inflight", func(enc *snap.Encoder) {
 			enc.I64(0)
-			rig.s.st.SaveState(enc)
+			rig.s.st.State(snap.Save(enc))
 			enc.Int(0)
 			enc.Int(0)
 			enc.U32(1 << 24)
-		}, rig.s.LoadState},
+		}, rig.s.State},
 		{"capture-values", func(enc *snap.Encoder) {
 			enc.U32(1)
 			enc.Int(0)
 			enc.Int(0)
 			enc.U32(1 << 24)
-		}, rig.s.loadCaptureMaps},
+		}, rig.s.captureState},
 		{"capture-trace", func(enc *snap.Encoder) {
 			enc.U32(0)
 			enc.U32(1)
 			enc.Int(0)
 			enc.Int(0)
 			enc.U32(1 << 24)
-		}, rig.s.loadCaptureMaps},
+		}, rig.s.captureState},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			enc := snap.NewEncoder()
@@ -331,7 +333,7 @@ func TestSMLoadStateRejectsHugeCounts(t *testing.T) {
 			dec := snap.NewDecoder(b)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			tc.load(dec)
+			tc.load(snap.Load(dec))
 			runtime.ReadMemStats(&after)
 			if dec.Err() == nil {
 				t.Fatal("a count of 1<<24 records restored without error")

@@ -61,13 +61,13 @@ type warpCtx struct {
 
 	// activeIdx is this warp's position in the SM's active list
 	// (-1 when not resident or already done).
-	activeIdx int //bow:derived -- position in the derived active list; LoadState rebuilds both together
+	activeIdx int //bow:derived -- position in the derived active list; rederive rebuilds both together
 
 	// occVal and occSince are the warp's open Fig. 9 run: the window
 	// has held occVal live entries at the end of every cycle from
 	// occSince on, and the run is not yet in RunStats.OccupancyBOC.
-	occVal   int   //bow:derived -- open occupancy run; LoadState reseeds it from the restored engine
-	occSince int64 //bow:derived -- start of the open occupancy run; LoadState reseeds it at the restore cycle
+	occVal   int   //bow:derived -- open occupancy run; rederive reseeds it from the restored engine
+	occSince int64 //bow:derived -- start of the open occupancy run; rederive reseeds it at the restore cycle
 
 	issued int64 // dynamic instructions issued (sequence numbering)
 }
@@ -171,7 +171,7 @@ func (s *SM) noteOccupancy(w *warpCtx) {
 // boundary, so RunStats.OccupancyBOC holds exactly one sample per
 // active warp-cycle so far, as the reference loop's per-cycle sampling
 // does. Stats calls it; a snapshot's caller must call it before
-// SaveState, which serializes the histogram but not the open runs.
+// saving State, which serializes the histogram but not the open runs.
 func (s *SM) FlushOccupancy() {
 	if !s.occRuns() {
 		return

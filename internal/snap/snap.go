@@ -7,7 +7,8 @@
 //
 // The package is a leaf: it knows nothing about the simulator. Stateful
 // packages (mem, core, regfile, scoreboard, scheduler, stats, sm, gpu)
-// import it and write themselves through Encoder/Decoder primitives.
+// import it and walk themselves through a State, one method per type
+// for both directions, over the Encoder/Decoder primitives.
 // Serialization is strictly deterministic — every walk over a map is
 // sorted, every list is written in its semantic order — so the same
 // simulator state always produces byte-identical snapshots and the
@@ -426,6 +427,169 @@ func (d *Decoder) WordsInto(dst []uint32) {
 		dst[i] = binary.LittleEndian.Uint32(d.buf[d.off+4*i:])
 	}
 	d.off += 4 * len(dst)
+}
+
+// State is one walk over a component's state. Save makes it write each
+// visited field through an Encoder; Load makes it overwrite each
+// visited field from a Decoder. A component lists its fields once, in
+// one State method, so its writer and reader cannot disagree about
+// order. Every method takes a pointer to the field it walks. A field
+// whose stored type differs from its encoding round-trips through a
+// local of the encoded type, so the bytes do not move. Errors are
+// sticky, as on the Encoder and Decoder underneath.
+//
+// State is a concrete type, not an interface: a local passed by
+// pointer to an interface method escapes to the heap.
+type State struct {
+	enc *Encoder
+	dec *Decoder
+}
+
+// Save returns a State that writes through e.
+func Save(e *Encoder) *State { return &State{enc: e} }
+
+// Load returns a State that reads through d.
+func Load(d *Decoder) *State { return &State{dec: d} }
+
+// Loading reports whether the walk reads (restore) rather than writes.
+func (s *State) Loading() bool { return s.dec != nil }
+
+// Fail records an error; all later walks are no-ops.
+func (s *State) Fail(err error) {
+	if s.dec != nil {
+		s.dec.Fail(err)
+	} else {
+		s.enc.Fail(err)
+	}
+}
+
+// Err returns the first recorded error.
+func (s *State) Err() error {
+	if s.dec != nil {
+		return s.dec.Err()
+	}
+	return s.enc.Err()
+}
+
+// Section opens the section with the given id (Encoder.Section,
+// Decoder.Section).
+func (s *State) Section(id uint32) {
+	if s.dec != nil {
+		s.dec.Section(id)
+	} else {
+		s.enc.Section(id)
+	}
+}
+
+// U8 walks one byte.
+//
+//bow:hotpath
+func (s *State) U8(v *uint8) {
+	if s.dec != nil {
+		*v = s.dec.U8()
+	} else {
+		s.enc.U8(*v)
+	}
+}
+
+// Bool walks a boolean as one byte.
+//
+//bow:hotpath
+func (s *State) Bool(v *bool) {
+	if s.dec != nil {
+		*v = s.dec.Bool()
+	} else {
+		s.enc.Bool(*v)
+	}
+}
+
+// U32 walks a little-endian uint32.
+//
+//bow:hotpath
+func (s *State) U32(v *uint32) {
+	if s.dec != nil {
+		*v = s.dec.U32()
+	} else {
+		s.enc.U32(*v)
+	}
+}
+
+// U64 walks a little-endian uint64.
+//
+//bow:hotpath
+func (s *State) U64(v *uint64) {
+	if s.dec != nil {
+		*v = s.dec.U64()
+	} else {
+		s.enc.U64(*v)
+	}
+}
+
+// I32 walks an int32.
+//
+//bow:hotpath
+func (s *State) I32(v *int32) {
+	if s.dec != nil {
+		*v = s.dec.I32()
+	} else {
+		s.enc.I32(*v)
+	}
+}
+
+// I64 walks an int64.
+//
+//bow:hotpath
+func (s *State) I64(v *int64) {
+	if s.dec != nil {
+		*v = s.dec.I64()
+	} else {
+		s.enc.I64(*v)
+	}
+}
+
+// Int walks an int as an int64.
+//
+//bow:hotpath
+func (s *State) Int(v *int) {
+	if s.dec != nil {
+		*v = s.dec.Int()
+	} else {
+		s.enc.Int(*v)
+	}
+}
+
+// Words walks a fixed-size word block with no length prefix.
+//
+//bow:hotpath
+func (s *State) Words(vs []uint32) {
+	if s.dec != nil {
+		s.dec.WordsInto(vs)
+	} else {
+		s.enc.Words(vs)
+	}
+}
+
+// U32s walks a length-prefixed []uint32; a load replaces the slice.
+func (s *State) U32s(vs *[]uint32) {
+	if s.dec != nil {
+		*vs = s.dec.U32s()
+	} else {
+		s.enc.U32s(*vs)
+	}
+}
+
+// Count walks the uint32 record count that prefixes a list whose
+// records each encode to at least minSize bytes. A load sets *n and
+// applies Decoder.Count's bound: a count the rest of the section could
+// not hold fails the walk and loads as 0.
+//
+//bow:hotpath
+func (s *State) Count(n *int, minSize int) {
+	if s.dec != nil {
+		*n = s.dec.Count(minSize)
+	} else {
+		s.enc.U32(uint32(*n))
+	}
 }
 
 // encoderPool recycles payload scratch buffers across snapshots. A

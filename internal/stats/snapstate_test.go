@@ -28,7 +28,7 @@ func TestHistogramLoadStateRejectsHugeCount(t *testing.T) {
 	dec := snap.NewDecoder(payload)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	h.LoadState(dec)
+	h.State(snap.Load(dec))
 	runtime.ReadMemStats(&after)
 	if dec.Err() == nil {
 		t.Fatal("a count of 1<<24 overflow entries restored without error")
